@@ -8,10 +8,11 @@ and multiplying the resulting character by the matching monomial.
 
 from __future__ import annotations
 
-from .characters import su_zhang_char, typical_constant_delta_char
+from .characters import (_check_cap, su_zhang_char,
+                         typical_constant_delta_char)
 from .laurent import LaurentPoly
 from .symfunc import SymFuncContext, poly_det
-from .weights import (Weight, has_constant_mu, normalize_to_special,
+from .weights import (has_constant_mu, normalize_to_special,
                       special_class, special_violation)
 
 
@@ -69,20 +70,6 @@ def jt_char(sc):
     return poly_det(jt_matrix(sc), w.m, w.n)
 
 
-_orientation_checked = False
-
-
-def _certify_orientation():
-    """One-time check that the sigma-shift prefactor sign is right."""
-    global _orientation_checked
-    if _orientation_checked:
-        return
-    _orientation_checked = True
-    probe = Weight(1, 1, (-1,), (0,))
-    assert general_char(probe) == su_zhang_char(probe), \
-        "sigma-shift orientation disagrees with the alternating-sum route"
-
-
 def general_char(w, cap=None):
     """Character of any constant-delta dominant weight.
 
@@ -92,6 +79,7 @@ def general_char(w, cap=None):
     w.require_dominant()
     if not has_constant_mu(w):
         raise ValueError("delta-part is not constant")
+    _check_cap(w.m, w.n, cap)
     j, sc = normalize_to_special(w)
     base = jt_char(sc)
     if j:
@@ -99,7 +87,6 @@ def general_char(w, cap=None):
         shift = LaurentPoly.monomial(
             m, n, tuple([-2 * j] * m + [2 * j] * n))
         base = shift * base
-    _certify_orientation()
     return base
 
 

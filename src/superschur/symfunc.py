@@ -7,12 +7,15 @@ alphabets x_1..x_m, y_1..y_n.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
+from math import factorial
 
 from .combinatorics import (CompositePartition, Partition, enumerate_splits,
                             split_pairing_sign)
-from .laurent import LaurentPoly
+from .laurent import (LaurentPoly, NonzeroRemainder, _pack, _unpack,
+                      pack_layout, perm_sign)
 
 
 def x_vandermonde_polys(m, n, slots):
@@ -81,13 +84,29 @@ def _dual_h_x(m, n, r):
 
 
 def poly_det(mat, m, n):
-    """Determinant of a square LaurentPoly matrix by memoized cofactors.
+    """Determinant of a square matrix of S_m x S_n-invariant LaurentPolys.
 
-    Entries are converted once to packed-integer exponent keys (one
-    biased fixed-width field per variable) so that every monomial
-    product inside the expansion is a single integer addition; a minor
-    spanning d rows carries a uniform d-fold bias that is removed when
-    the result is unpacked.
+    Cofactor expansion memoized by column set, sparsest rows first.
+    Exponents are packed-integer keys (one biased fixed-width field per
+    variable) so that a monomial product is a single integer addition;
+    a minor spanning d rows carries a uniform d-fold bias.
+
+    Every entry is invariant under permuting x_1..x_m and y_1..y_n, and
+    so is every minor.  A minor is therefore stored only at its
+    block-sorted exponents, one key per orbit, holding the sum of its
+    coefficients over that orbit.  Multiplying such a minor by a full
+    entry and folding each product key onto its orbit gives the orbit
+    sums of the next minor, since for invariant E and M
+
+        sum_{c' in O(c)} coeff_{c'}(E M)
+            = sum_b (orbit sum of M at b) * sum_{c' in O(c)} E_{c' - b}
+
+    with b over the representatives of M.  Each orbit sum is a multiple
+    of the orbit size; the full orbits are rebuilt once, from the
+    determinant.
+
+    Raises ValueError unless every entry has int coefficients and is
+    S_m x S_n-invariant.
     """
     size = len(mat)
     if size == 0:
@@ -102,16 +121,57 @@ def poly_det(mat, m, n):
                         bound = v
                     elif -v > bound:
                         bound = -v
-    from .laurent import _pack, _unpack, pack_layout, perm_sign
     shift, bias = pack_layout(bound, size)
+    # whole bytes per field, so a key's fields are slices of its bytes
+    nbytes = -(-shift // 8)
+    shift = 8 * nbytes
+    klen = width * nbytes
+    fields = [slice(i, i + nbytes) for i in range(0, klen, nbytes)]
+    x_fields, y_fields = fields[:m], fields[m:]
+    m_fact, n_fact = factorial(m), factorial(n)
+    rep_of = {}
+    orbit_size = {}
+
+    def fold(k):
+        """Block-sorted key of k's orbit; its size goes in orbit_size."""
+        field = k.to_bytes(klen, "big").__getitem__
+        xs = sorted(map(field, x_fields))
+        ys = sorted(map(field, y_fields))
+        r = int.from_bytes(b"".join(xs + ys), "big")
+        if r not in orbit_size:
+            size_r = m_fact * n_fact
+            for v in Counter(xs).values():
+                size_r //= factorial(v)
+            for v in Counter(ys).values():
+                size_r //= factorial(v)
+            orbit_size[r] = size_r
+        rep_of[k] = r
+        return r
+
+    packed = {}
+    for row in mat:
+        for entry in row:
+            if id(entry) in packed:
+                continue
+            full = {}
+            for e, c in entry.terms.items():
+                if not isinstance(c, int):
+                    raise ValueError(
+                        f"poly_det needs int coefficients, got {c!r}")
+                full[_pack(e, shift, bias)] = c
+            # invariant: each orbit is present whole, with one coefficient
+            seen = Counter(map(fold, full))
+            if (any(full.get(rep_of[k]) != c for k, c in full.items())
+                    or any(seen[r] != orbit_size[r] for r in seen)):
+                raise ValueError("poly_det needs S_m x S_n-invariant entries")
+            packed[id(entry)] = full
 
     # expand the sparsest rows first: row i is multiplied into minors
     # spanning all later rows, so big rows are cheapest at the bottom
     order = sorted(range(size),
                    key=lambda i: sum(len(e.terms) for e in mat[i]))
     row_sign = perm_sign(tuple(order))
-    pmat = [[{_pack(e, shift, bias): c for e, c in entry.terms.items()}
-             for entry in mat[i]] for i in order]
+    pmat = [[packed[id(entry)] for entry in mat[i]] for i in order]
     memo = {}
 
     def minor(row, cols):
@@ -121,34 +181,45 @@ def poly_det(mat, m, n):
         if cached is not None:
             return cached
         acc = {}
+        get = acc.get
         for idx, c in enumerate(cols):
             entry = pmat[row][c]
             if not entry:
                 continue
             sub = minor(row + 1, cols[:idx] + cols[idx + 1:])
             sign = 1 if idx % 2 == 0 else -1
-            get = acc.get
-            for ka, ca in entry.items():
-                cs = ca if sign == 1 else -ca
-                for kb, cb in sub.items():
+            for kb, cb in sub.items():
+                cb *= sign
+                for ka, ca in entry.items():
                     k = ka + kb
-                    s = get(k, 0) + cs * cb
-                    if s:
-                        acc[k] = s
-                    else:
-                        del acc[k]
-        memo[cols] = acc
-        return acc
+                    acc[k] = get(k, 0) + ca * cb
+        sums = {}
+        for k, c in acc.items():
+            if c:
+                r = rep_of.get(k)
+                if r is None:
+                    r = fold(k)
+                sums[r] = sums.get(r, 0) + c
+        out = {}
+        for r, s in sums.items():
+            if s:
+                if s % orbit_size[r]:
+                    raise NonzeroRemainder(
+                        f"orbit sum {s} is not a multiple of the orbit "
+                        f"size {orbit_size[r]}")
+                out[r] = s
+        memo[cols] = out
+        return out
 
     det = minor(0, tuple(range(size)))
     terms = {}
-    for k, c in det.items():
-        e = _unpack(k, width, shift, size * bias)
-        terms[e] = c if row_sign == 1 else -c
-    if any(c.__class__ is not int for c in terms.values()):
-        from .laurent import _normalize_coeff
-        terms = {e: _normalize_coeff(c) for e, c in terms.items()}
-        terms = {e: c for e, c in terms.items() if c}
+    for r, s in det.items():
+        c = s // orbit_size[r] * row_sign
+        e = _unpack(r, width, shift, size * bias)
+        y_perms = set(permutations(e[m:]))
+        for ex in set(permutations(e[:m])):
+            for ey in y_perms:
+                terms[ex + ey] = c
     out = LaurentPoly(m, n)
     out.terms = terms
     return out

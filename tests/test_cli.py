@@ -81,6 +81,13 @@ def test_non_dominant_weight_exits_one(capsys):
     assert "error:" in err and "dominant" in err
 
 
+def test_jt_honours_cap(capsys):
+    code, _, err = run(capsys, "char", "--m", "2", "--n", "1",
+                       "--weight", "1,0;0", "--cap", "-5")
+    assert code == 1
+    assert "cap" in err
+
+
 def test_reduction_violation_message(capsys):
     code, _, err = run(capsys, "char", "--m", "2", "--n", "1",
                        "--weight", "1,0;-3", "--method", "reduction")

@@ -15,8 +15,9 @@ from superschur.jacobi_trudi import (character, dimension, general_char,
                                      jt_char, jt_entry_indices, jt_matrix,
                                      jt_matrix_labels, weyl_dimension)
 from superschur.laurent import LaurentPoly
-from superschur.symfunc import SymFuncContext, poly_det
+from superschur.symfunc import SymFuncContext
 from superschur.weights import Weight, special_class
+from test_symfunc import brute_det
 
 
 GOLDEN = Weight(3, 2, (3, 2, -1), (-1, -1))
@@ -58,9 +59,15 @@ def test_golden_matrix_entries_expand_generators():
 def test_golden_determinant_equals_both_other_routes():
     sc = special_class(GOLDEN)
     det = jt_char(sc)
-    assert det == poly_det(jt_matrix(sc), 3, 2)
+    assert det == brute_det(jt_matrix(sc), 3, 2)
     assert det == su_zhang_char(GOLDEN)
     assert det == typical_constant_delta_char(GOLDEN)
+
+
+def test_typical_gl43_determinant_equals_typical_route():
+    # the entries cancel down to 8,471 terms
+    w = Weight(4, 3, (5, 4, 3, 3), (0, 0, 0))
+    assert general_char(w) == typical_constant_delta_char(w)
 
 
 def test_golden_dimension():
@@ -104,6 +111,12 @@ def test_general_char_shift_known_value():
     # (j,...,j;-j,...,-j) is a monomial for any j
     w = Weight(2, 1, (-2, -2), (2,))
     assert general_char(w) == LaurentPoly.monomial(2, 1, (-4, -4, 4))
+
+
+def test_sigma_shift_orientation():
+    # gl(1|1), (-1;0) is not special: general_char shifts it by sigma
+    w = Weight(1, 1, (-1,), (0,))
+    assert general_char(w) == su_zhang_char(w)
 
 
 def test_general_char_requires_dominant():

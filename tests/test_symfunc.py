@@ -1,5 +1,6 @@
 """Symmetric-function generators, determinants, and split identities."""
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -45,18 +46,26 @@ def brute_det(mat, m, n):
     return out
 
 
+def orbit_sum(m, n, exp2):
+    """Sum of the monomials in the S_m x S_n-orbit of exp2."""
+    x, y = exp2[:m], exp2[m:]
+    return LaurentPoly(m, n, {px + py: 1 for px in set(permutations(x))
+                              for py in set(permutations(y))})
+
+
 @st.composite
-def small_matrix_strategy(draw, m=2, n=1, size_max=3):
+def small_matrix_strategy(draw, size_max=3):
+    """Square matrices of S_m x S_n-invariant entries on gl(2|1) or gl(2|2):
+    each entry is a sum of whole orbits with random int coefficients."""
+    m, n = draw(st.sampled_from([(2, 1), (2, 2)]))
     size = draw(st.integers(1, size_max))
     def entry():
-        terms = {}
+        out = LaurentPoly.zero(m, n)
         for _ in range(draw(st.integers(0, 3))):
             e = tuple(2 * draw(st.integers(-2, 2)) for _ in range(m + n))
-            c = draw(st.integers(-4, 4))
-            if c:
-                terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(m, n, terms)
-    return [[entry() for _ in range(size)] for _ in range(size)]
+            out = out + draw(st.integers(-4, 4)) * orbit_sum(m, n, e)
+        return out
+    return m, n, [[entry() for _ in range(size)] for _ in range(size)]
 
 
 # -- generators ------------------------------------------------------------
@@ -107,8 +116,20 @@ def test_super_h_supersymmetry_cancellation():
 
 @settings(max_examples=40, deadline=None)
 @given(small_matrix_strategy())
-def test_poly_det_matches_permutation_expansion(mat):
-    assert poly_det(mat, 2, 1) == brute_det(mat, 2, 1)
+def test_poly_det_matches_permutation_expansion(case):
+    m, n, mat = case
+    assert poly_det(mat, m, n) == brute_det(mat, m, n)
+
+
+def test_poly_det_rejects_non_invariant_entries():
+    x1, x2 = LaurentPoly.x(2, 1, 1), LaurentPoly.x(2, 1, 2)
+    y1 = LaurentPoly.y(2, 1, 1)
+    sym = x1 + x2
+    for bad in (x1, x1 + 2 * x2, x1 * y1):
+        with pytest.raises(ValueError, match="invariant"):
+            poly_det([[sym, bad], [sym, sym]], 2, 1)
+    with pytest.raises(ValueError, match="int coefficients"):
+        poly_det([[Fraction(1, 2) * sym]], 2, 1)
 
 
 def test_poly_det_empty_and_identity():
