@@ -2,21 +2,22 @@
 the closed form for typical constant-delta weights, and the split-sum
 reduction to smaller superalgebras.
 
-All results are exact LaurentPoly values; the Weyl-denominator division
-is performed per antisymmetrized monomial class (each class alternant is
-itself alternating, hence exactly divisible), which is equivalent to one
-global division and much faster.
+All results are exact LaurentPoly values.  The alternating sum is
+collected per antisymmetrized monomial class, and each class is expanded
+through the Weyl denominator by the bialternant identity: the quotient of
+a class alternant by the half Vandermonde is a monomial times a Schur
+polynomial, which is built by the branching rule, without division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import product
 from math import factorial
 
 from .combinatorics import enumerate_cycle_types, enumerate_splits, \
     split_pairing_sign
-from .laurent import LaurentPoly, perm_sign, _sort_desc_sign
+from .laurent import LaurentPoly, NonzeroRemainder, _sort_desc_sign
 from .weights import Weight, atypical_roots, decompose, rho0_doubled
 
 DEFAULT_CAP = 10 ** 6
@@ -170,7 +171,14 @@ def _alternant_quotient(vals):
     """Sum over S_k of sign(w) z^{w(vals)}, divided by the half Vandermonde.
 
     vals is a strictly decreasing doubled exponent tuple; the result is
-    a dict of doubled exponent tuples (width k) to int coefficients.
+    a dict of doubled exponent tuples (width k) to int coefficients, in
+    descending exponent order.  By the bialternant identity the quotient
+    is z^{base} (prod z)^{(k-1)/2} s_lam(z), with base = vals[-1] and
+    lam_i = (vals_i - base)/2 - (k-1-i).  s_lam is built by the
+    branching rule s_lam(z_1..z_k) = sum over mu interlacing lam of
+    s_mu(z_1..z_{k-1}) z_k^{|lam|-|mu|}, so nothing is divided.  An odd
+    gap in vals leaves an alternant that the half Vandermonde does not
+    divide, and raises NonzeroRemainder.
     """
     k = len(vals)
     if k == 0:
@@ -179,26 +187,49 @@ def _alternant_quotient(vals):
     norm = tuple(v - base for v in vals)
     cached = _ALTERNANT_CACHE.get(norm)
     if cached is None:
-        terms = {}
-        for p in permutations(range(k)):
-            terms[tuple(norm[p[i]] for i in range(k))] = perm_sign(p)
-        poly = LaurentPoly(k, 0, terms)
-        for i in range(k):
-            for j in range(i + 1, k):
-                e1 = [0] * k
-                e1[i] = 2
-                e2 = [0] * k
-                e2[j] = 2
-                poly = poly.exact_divide(
-                    LaurentPoly(k, 0, {tuple(e1): 1, tuple(e2): -1}))
-        # dividing by the plain Vandermonde instead of the half one
-        # leaves a factor (prod z)^{(k-1)/2} to restore
-        cached = {tuple(v + (k - 1) for v in e): c
-                  for e, c in poly.terms.items()}
+        if any(v % 2 for v in norm):
+            raise NonzeroRemainder(
+                f"alternant of {vals} has an odd gap: the half Vandermonde "
+                "does not divide it")
+        lam = tuple(v // 2 - (k - 1 - i) for i, v in enumerate(norm))
+        if any(a < b for a, b in zip(lam, lam[1:])):
+            raise ValueError(f"exponents {vals} are not strictly decreasing")
+        # the doubled offset k - 1 is the factor (prod z)^{(k-1)/2}
+        cached = dict(sorted(_schur(lam, k - 1).items(), reverse=True))
         _ALTERNANT_CACHE[norm] = cached
     if base == 0:
         return cached
     return {tuple(v + base for v in e): c for e, c in cached.items()}
+
+
+def _schur(parts, offset, memo=None):
+    """s_parts in len(parts) variables by the branching rule, as a dict of
+    doubled exponent tuples (2a + offset for the exponent a) to Kostka
+    numbers.
+
+    memo, shared by the recursive calls, keeps the polynomial of every
+    partition met below the top call's children.  Each child of the top
+    call is met once, so keeping it would only hold memory.
+    """
+    if len(parts) == 1:
+        return {(2 * parts[0] + offset,): 1}
+    top = memo is None
+    if top:
+        memo = {}
+    size = sum(parts)
+    poly = {}
+    for mu in product(*(range(parts[i + 1], parts[i] + 1)
+                        for i in range(len(parts) - 1))):
+        sub = memo.get(mu)
+        if sub is None:
+            sub = _schur(mu, offset, memo)
+            if not top:
+                memo[mu] = sub
+        last = (2 * (size - sum(mu)) + offset,)
+        for e, c in sub.items():
+            key = e + last
+            poly[key] = poly.get(key, 0) + c
+    return poly
 
 
 def _expand_alternating(acc, m, n):
@@ -289,7 +320,7 @@ def su_zhang_char(w, cap=None):
                 dot_action(ct.perm, sigma_raised, data), data)
             offs = cone_offsets(w, v, data)
             if any(o < 0 for o in offs):
-                raise AssertionError(
+                raise ArithmeticError(
                     f"raised weight {v} escapes the cone of {w}")
             coeff = ct.multiplicity
             if (sum(offs) + ct.length) % 2:
@@ -314,9 +345,9 @@ def su_zhang_char(w, cap=None):
     for e, cval in expanded.items():
         q, rem = divmod(cval, rfact)
         if rem:
-            raise AssertionError(f"non-integral coefficient at {e}")
+            raise NonzeroRemainder(f"non-integral coefficient at {e}")
         if any(d % 2 for d in e):
-            raise AssertionError(f"half-integer exponent {e} in a character")
+            raise ArithmeticError(f"half-integer exponent {e} in a character")
         final[e] = q
     return LaurentPoly(m, n, final)
 

@@ -180,10 +180,6 @@ class LaurentPoly:
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())
 
-    def total_degrees(self):
-        """Set of doubled total degrees appearing in the support."""
-        return {sum(e) for e in self.terms}
-
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self):
@@ -576,29 +572,3 @@ def _expand_class(e, positions):
                 new_results.append((ne, sign * s))
         results = new_results
     return [(tuple(ne), s) for ne, s in results]
-
-
-def vandermonde_x_factors(m, n):
-    """Binomial factors e^{(eps_i - eps_j)/2} - e^{-(eps_i - eps_j)/2}."""
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            e1 = [0] * (m + n)
-            e1[i], e1[j] = 1, -1
-            e2 = [0] * (m + n)
-            e2[i], e2[j] = -1, 1
-            out.append(LaurentPoly(m, n, {tuple(e1): 1, tuple(e2): -1}))
-    return out
-
-
-def vandermonde_y_factors(m, n):
-    """Binomial factors e^{(del_i - del_j)/2} - e^{-(del_i - del_j)/2}."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e1 = [0] * (m + n)
-            e1[m + i], e1[m + j] = 1, -1
-            e2 = [0] * (m + n)
-            e2[m + i], e2[m + j] = -1, 1
-            out.append(LaurentPoly(m, n, {tuple(e1): 1, tuple(e2): -1}))
-    return out

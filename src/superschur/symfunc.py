@@ -280,19 +280,6 @@ class SymFuncContext:
                 for j in range(1, size + 1)] for i in range(1, size + 1)]
         return poly_det(mat, self.m, self.n)
 
-    def schur_bialternant(self, lam):
-        """Schur polynomial as a ratio of alternants; needs l(lam) <= m."""
-        m, n = self.m, self.n
-        if lam.length > m:
-            raise ValueError("partition longer than the alphabet")
-        parts = lam.padded(m)
-        e = [0] * (m + n)
-        for i in range(m):
-            e[i] = 2 * (parts[i] + m - 1 - i)
-        numer = LaurentPoly.monomial(m, n, tuple(e)).alternating_sum(
-            [("x", tuple(range(1, m + 1)))])
-        return numer.exact_divide(self._x_vandermonde_factors(range(1, m + 1)))
-
     def _x_vandermonde_factors(self, slots):
         return x_vandermonde_polys(self.m, self.n, slots)
 

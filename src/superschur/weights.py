@@ -36,11 +36,6 @@ class Weight:
             raise ValueError(f"weight {self} is not dominant")
         return self
 
-    def shift(self, other):
-        return Weight(self.m, self.n,
-                      tuple(a + b for a, b in zip(self.lam, other.lam)),
-                      tuple(a + b for a, b in zip(self.mu, other.mu)))
-
     def plus_sigma(self, j):
         """Add j*(1,...,1;-1,...,-1)."""
         return Weight(self.m, self.n,
@@ -87,10 +82,6 @@ def rho1(m, n):
     """Half the sum of odd positive roots, as Fractions."""
     return (tuple(Fraction(n, 2) for _ in range(m)) +
             tuple(Fraction(-m, 2) for _ in range(n)))
-
-
-def rho1_doubled(m, n):
-    return (n,) * m + (-m,) * n
 
 
 @dataclass(frozen=True)

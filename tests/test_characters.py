@@ -7,19 +7,21 @@ signs of the formula all at once.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superschur.characters import (CapExceeded, ConeElement, c_related,
+from superschur.characters import (CapExceeded, ConeElement,
+                                   _alternant_quotient, c_related,
                                    cone_offsets, dot_action, is_lexical,
                                    lemma_rho_identities, lexical_raise,
                                    lexical_raise_weight, reduction_char,
                                    s_lambda_set, strongly_c_related,
                                    su_zhang_char,
                                    typical_constant_delta_char)
-from superschur.laurent import LaurentPoly
+from superschur.laurent import LaurentPoly, NonzeroRemainder, perm_sign
 from superschur.weights import Weight, atypical_roots, special_class
 
 
@@ -121,6 +123,46 @@ def test_kac_structure_of_typical_characters():
     w = Weight(2, 1, (2, 1), (0,))
     ch = typical_constant_delta_char(w)
     assert ch.sum_of_coefficients() % 2 ** (w.m * w.n) == 0
+
+
+# -- the alternant quotient --------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_alternant_quotient_times_half_vandermonde_is_the_alternant(k, data):
+    base = data.draw(st.integers(-7, 7))
+    gaps = data.draw(st.lists(st.integers(1, 3), min_size=k - 1,
+                              max_size=k - 1))
+    vals = tuple(base + 2 * sum(gaps[i:]) for i in range(k))
+    restored = LaurentPoly(k, 0, _alternant_quotient(vals))
+    for i in range(k):
+        for j in range(i + 1, k):
+            e1 = [0] * k
+            e1[i], e1[j] = 1, -1
+            e2 = [-v for v in e1]
+            restored = restored * LaurentPoly(k, 0, {tuple(e1): 1,
+                                                     tuple(e2): -1})
+    alternant = LaurentPoly(k, 0, {tuple(vals[i] for i in p): perm_sign(p)
+                                   for p in permutations(range(k))})
+    assert restored == alternant
+
+
+def test_alternant_quotient_rejects_bad_exponents():
+    with pytest.raises(NonzeroRemainder):
+        _alternant_quotient((5, 2, 0))
+    with pytest.raises(NonzeroRemainder):
+        _alternant_quotient((3, 0))
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        _alternant_quotient((0, 2))
+
+
+def test_alternant_quotient_known_value():
+    # lam = (2,1,0), k = 3: s_21 = m_21 + 2 m_111, the adjoint of gl(3)
+    q = _alternant_quotient((8, 4, 0))
+    assert len(q) == 7
+    assert sum(q.values()) == 8
+    assert q[(4, 4, 4)] == 2
 
 
 def test_cap_guard():

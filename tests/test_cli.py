@@ -125,6 +125,18 @@ def test_cap_env_overrides_flag(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_internal_failure_exits_one(capsys, monkeypatch):
+    # a class coefficient not divisible by r! is an arithmetic error,
+    # reported as such rather than as a traceback
+    from superschur import characters
+    monkeypatch.setattr(characters, "_expand_alternating",
+                        lambda acc, m, n: {(0,) * (m + n): 1})
+    code, _, err = run(capsys, "char", "--m", "3", "--n", "2",
+                       "--weight", "1,0,-1;-1,-2", "--method", "suzhang")
+    assert code == 1
+    assert "error:" in err and "non-integral" in err
+
+
 # -- dim --------------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superschur.characters import _alternant_quotient
 from superschur.combinatorics import CompositePartition, Partition
 from superschur.laurent import LaurentPoly, NonzeroRemainder, perm_sign
 from superschur.symfunc import SymFuncContext, poly_det
@@ -153,9 +154,14 @@ def test_schur_known_values():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=0, max_size=3))
 def test_schur_det_equals_bialternant(parts):
+    # the h-determinant against the bialternant quotient at 2(lam + delta),
+    # which is (prod x)^{(k-1)/2} s_lam and is built without any division
     lam = Partition(tuple(sorted(parts, reverse=True)))
     ctx = SymFuncContext(3, 0)
-    assert ctx.schur(lam) == ctx.schur_bialternant(lam)
+    vals = tuple(2 * (p + 2 - i) for i, p in enumerate(lam.padded(3)))
+    quotient = {tuple(v - 2 for v in e): c
+                for e, c in _alternant_quotient(vals).items()}
+    assert ctx.schur(lam) == LaurentPoly(3, 0, quotient)
 
 
 def test_schur_too_long_vanishes():
