@@ -18,6 +18,7 @@ from math import factorial
 from .combinatorics import enumerate_cycle_types, enumerate_splits, \
     split_pairing_sign
 from .laurent import LaurentPoly, NonzeroRemainder, _sort_desc_sign
+from .symfunc import x_vandermonde_polys
 from .weights import Weight, atypical_roots, decompose, rho0_doubled
 
 DEFAULT_CAP = 10 ** 6
@@ -423,9 +424,14 @@ def lemma_rho_identities(m, n, p, q):
 
 def _split_assemble(m, n, p, power, left_base, right_base):
     """Sum over splits of (prod x')^power * left(x'/y) * right(x''/y),
-    with denominators cleared against the full x-Vandermonde."""
-    from .symfunc import x_vandermonde_polys
+    with denominators cleared against the full x-Vandermonde.
 
+    x' runs over the p-subsets of x_1..x_m and x'' over their
+    complements; left_base lives on (p|n) and right_base on (m-p|n),
+    and ArityMismatchError is raised otherwise.  The sum is assembled
+    over the common denominator prod_{i<j}(x_i - x_j) and divided
+    exactly, so a sum that is not a polynomial raises NonzeroRemainder.
+    """
     y_slots = tuple(range(1, n + 1))
     total = LaurentPoly.zero(m, n)
     for r, s in enumerate_splits(m, p):

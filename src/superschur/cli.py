@@ -20,7 +20,7 @@ import sys
 
 from .combinatorics import CompositePartition
 from .jacobi_trudi import character, dimension, jt_matrix, jt_matrix_labels
-from .symfunc import SymFuncContext
+from .symfunc import composite_super_schur
 from .verify import GridSpec, run_suite
 from .weights import Weight, normalize_to_special
 
@@ -138,7 +138,7 @@ def cmd_schur(args):
     if not c.is_standard(args.m):
         raise ValueError(
             f"l(nu) + l(mu) <= m violated for {c} on gl({args.m}|{args.n})")
-    poly = SymFuncContext(args.m, args.n).composite_super_schur(c)
+    poly = composite_super_schur(c, args.m, args.n)
     if args.format == "json":
         print(_canonical(poly.to_json_dict()))
     else:

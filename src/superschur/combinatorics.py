@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 
 from .laurent import perm_sign
@@ -44,10 +45,6 @@ class Partition:
         cols = self.parts[0]
         return Partition(tuple(sum(1 for p in self.parts if p >= j)
                                for j in range(1, cols + 1)))
-
-    def contains(self, other):
-        return all(self.part(i) >= other.part(i)
-                   for i in range(1, other.length + 1))
 
     def padded(self, length):
         if length < self.length:
@@ -131,7 +128,9 @@ class CycleTypePermutation:
             prefix += b
             den *= prefix
         mult, rem = divmod(num, den)
-        assert rem == 0, f"non-integral cycle weight for blocks {blocks}"
+        if rem:
+            raise ArithmeticError(
+                f"non-integral cycle weight for blocks {blocks}")
         return cls(tuple(blocks), tuple(perm), mult, r - len(blocks))
 
 
@@ -157,8 +156,6 @@ def enumerate_cycle_types(r):
 
 def enumerate_splits(m, p):
     """All ways to cut {1..m} into an ascending p-subset and its complement."""
-    from itertools import combinations
-
     out = []
     universe = set(range(1, m + 1))
     for r in combinations(range(1, m + 1), p):

@@ -8,10 +8,10 @@ and multiplying the resulting character by the matching monomial.
 
 from __future__ import annotations
 
-from .characters import (_check_cap, su_zhang_char,
+from .characters import (_check_cap, reduction_char, su_zhang_char,
                          typical_constant_delta_char)
 from .laurent import LaurentPoly
-from .symfunc import SymFuncContext, poly_det
+from .symfunc import _dual_super_h, _super_h, poly_det
 from .weights import (has_constant_mu, normalize_to_special,
                       special_class, special_violation)
 
@@ -54,9 +54,9 @@ def jt_entry_indices(sc):
 def jt_matrix(sc):
     """The determinant matrix with expanded LaurentPoly entries."""
     w, _ = _require_jt_input(sc)
-    ctx = SymFuncContext(w.m, w.n)
-    fns = {"h": ctx.super_h, "hbar": ctx.dual_super_h}
-    return [[fns[kind](r) for kind, r in row] for row in jt_entry_indices(sc)]
+    fns = {"h": _super_h, "hbar": _dual_super_h}
+    return [[fns[kind](w.m, w.n, r) for kind, r in row]
+            for row in jt_entry_indices(sc)]
 
 
 def jt_matrix_labels(sc):
@@ -99,7 +99,6 @@ def character(w, method="jt", cap=None):
     if method == "typical":
         return typical_constant_delta_char(w, cap)
     if method == "reduction":
-        from .characters import reduction_char
         sc = special_class(w)
         if sc is None:
             raise ValueError(special_violation(w))
@@ -120,5 +119,7 @@ def weyl_dimension(lam):
         for j in range(i + 1, m):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    assert num % den == 0
-    return num // den
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integral Weyl dimension for {lam}")
+    return q

@@ -1,5 +1,5 @@
 """Complete/elementary symmetric functions, their supersymmetric analogues,
-Schur and composite-Schur determinants, and split-sum identities.
+Schur and composite-Schur determinants, and last-y-variable isolation.
 
 All functions are exact LaurentPoly computations on explicit finite
 alphabets x_1..x_m, y_1..y_n.
@@ -12,8 +12,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
-from .combinatorics import (CompositePartition, Partition, enumerate_splits,
-                            split_pairing_sign)
+from .combinatorics import CompositePartition, Partition
 from .laurent import (LaurentPoly, NonzeroRemainder, _pack, _unpack,
                       pack_layout, perm_sign)
 
@@ -252,174 +251,76 @@ def composite_block_matrix(nu, mu, h_fn, dual_h_fn):
     return mat
 
 
-class SymFuncContext:
-    """Symmetric functions on fixed alphabets x_1..x_m, y_1..y_n."""
+def schur(lam, m, n):
+    """Schur polynomial s_lam(x) via the h-determinant."""
+    size = lam.length
+    mat = [[_h_x(m, n, lam.part(i) - i + j)
+            for j in range(1, size + 1)] for i in range(1, size + 1)]
+    return poly_det(mat, m, n)
 
-    def __init__(self, m, n):
-        self.m = m
-        self.n = n
 
-    def h_classical(self, r):
-        return _h_x(self.m, self.n, r)
+def composite_schur(c, m, n):
+    """Composite Schur polynomial in x, by shift and by block determinant.
 
-    def e_classical(self, r):
-        return _e_y(self.m, self.n, r)
+    The shift route multiplies a plain Schur polynomial by
+    (prod x_i)^{-nu_1}; the block-determinant route uses h_r(x) and
+    h_r with inverted variables.  Both are computed, and ArithmeticError
+    is raised if they disagree.
+    """
+    if not c.is_standard(m):
+        raise ValueError(f"{c} is not standard for m={m}")
+    nu, mu = c.nu, c.mu
+    if nu.length == 0:
+        shift_route = schur(mu, m, n)
+    else:
+        nu1 = nu.parts[0]
+        p, q = mu.length, nu.length
+        lam = (tuple(mu.parts[i] + nu1 for i in range(p))
+               + (nu1,) * (m - p - q)
+               + tuple(nu1 - nu.parts[q - s] for s in range(1, q)))
+        shifter = LaurentPoly.monomial(m, n, tuple([-2 * nu1] * m + [0] * n))
+        shift_route = shifter * schur(Partition(lam), m, n)
+    mat = composite_block_matrix(
+        nu, mu, lambda r: _h_x(m, n, r), lambda r: _dual_h_x(m, n, r))
+    if shift_route != poly_det(mat, m, n):
+        raise ArithmeticError(
+            f"composite Schur routes disagree for {c} on m={m}")
+    return shift_route
 
-    def super_h(self, r):
-        return _super_h(self.m, self.n, r)
 
-    def dual_super_h(self, r):
-        return _dual_super_h(self.m, self.n, r)
+def super_schur(lam, m, n):
+    """Supersymmetric S-function s_lam(x/y) via the super h-determinant."""
+    size = lam.length
+    mat = [[_super_h(m, n, lam.part(i) - i + j)
+            for j in range(1, size + 1)] for i in range(1, size + 1)]
+    return poly_det(mat, m, n)
 
-    # -- classical Schur functions (x-alphabet) ------------------------
 
-    def schur(self, lam):
-        """Schur polynomial via the h-determinant."""
-        size = lam.length
-        mat = [[self.h_classical(lam.part(i) - i + j)
-                for j in range(1, size + 1)] for i in range(1, size + 1)]
-        return poly_det(mat, self.m, self.n)
+def composite_super_schur(c, m, n):
+    """Composite S-function s_{nu-bar;mu}(x/y) via the block determinant."""
+    mat = composite_block_matrix(
+        c.nu, c.mu,
+        lambda r: _super_h(m, n, r),
+        lambda r: _dual_super_h(m, n, r))
+    return poly_det(mat, m, n)
 
-    def _x_vandermonde_factors(self, slots):
-        return x_vandermonde_polys(self.m, self.n, slots)
 
-    def composite_schur(self, c):
-        """Composite Schur polynomial in x, by shift and by block determinant.
+def isolate_last_y(c, n):
+    """Vertical-strip expansion over the last of the n y variables.
 
-        The shift route multiplies a plain Schur polynomial by
-        (prod x_i)^{-nu_1}; the block-determinant route uses h_r(x) and
-        h_r with inverted variables.  Both are computed and must agree.
-        """
-        m, n = self.m, self.n
-        if not c.is_standard(m):
-            raise ValueError(f"{c} is not standard for m={m}")
-        nu, mu = c.nu, c.mu
-        if nu.length == 0:
-            shift_route = self.schur(mu)
-        else:
-            nu1 = nu.parts[0]
-            p, q = mu.length, nu.length
-            lam = (tuple(mu.parts[i] + nu1 for i in range(p))
-                   + (nu1,) * (m - p - q)
-                   + tuple(nu1 - nu.parts[q - s] for s in range(1, q)))
-            shifter = LaurentPoly.monomial(
-                m, n, tuple([-2 * nu1] * m + [0] * n))
-            shift_route = shifter * self.schur(Partition(lam))
-        mat = composite_block_matrix(
-            nu, mu,
-            lambda r: _h_x(m, n, r),
-            lambda r: _dual_h_x(m, n, r))
-        det_route = poly_det(mat, m, n)
-        assert shift_route == det_route, \
-            f"composite Schur routes disagree for {c} on m={m}"
-        return shift_route
-
-    # -- supersymmetric S-functions -------------------------------------
-
-    def super_schur(self, lam):
-        size = lam.length
-        mat = [[self.super_h(lam.part(i) - i + j)
-                for j in range(1, size + 1)] for i in range(1, size + 1)]
-        return poly_det(mat, self.m, self.n)
-
-    def composite_super_schur(self, c):
-        mat = composite_block_matrix(
-            c.nu, c.mu,
-            lambda r: _super_h(self.m, self.n, r),
-            lambda r: _dual_super_h(self.m, self.n, r))
-        return poly_det(mat, self.m, self.n)
-
-    # -- split-sum identities --------------------------------------------
-
-    def split_sum_classical(self, mu, nu, p, q):
-        """Sum of s_{mu+q^p}(x') s_nu(x'') over splits, denominators cleared.
-
-        x' runs over p-subsets of the alphabet, x'' the complement; the
-        rational sum is assembled over the common denominator
-        prod_{i<j}(x_i - x_j) and divided exactly.  Equals the Schur
-        polynomial of the concatenation (mu_1..mu_p, nu_1..nu_q).
-        """
-        m, n = self.m, self.n
-        if p + q != m:
-            raise ValueError("p + q must be m")
-        if mu.length > p or nu.length > q:
-            raise ValueError("partition longer than its block")
-        concat = mu.padded(p) + nu.padded(q)
-        if any(concat[i] < concat[i + 1] for i in range(m - 1)):
-            raise ValueError("concatenation is not weakly decreasing")
-        mu_shift = Partition(tuple(v + q for v in mu.padded(p)))
-        total = LaurentPoly.zero(m, n)
-        for r, s in enumerate_splits(m, p):
-            sign, _ = split_pairing_sign(r, s)
-            left = SymFuncContext(p, 0).schur(mu_shift).embed(
-                m, n, x_slots=r, y_slots=())
-            right = SymFuncContext(q, 0).schur(nu).embed(
-                m, n, x_slots=s, y_slots=())
-            piece = left * right
-            for f in self._x_vandermonde_factors(r):
-                piece = piece * f
-            for f in self._x_vandermonde_factors(s):
-                piece = piece * f
-            total = total + sign * piece
-        return total.exact_divide(
-            self._x_vandermonde_factors(range(1, m + 1)))
-
-    def split_sum_super(self, c, q):
-        """Supersymmetric split sum over (m-q)-subsets, denominators cleared.
-
-        kappa is the first q parts of nu and eta the rest; each split
-        contributes (prod x')^q s_{eta-bar;mu}(x'/y) s_{kappa-bar}(x''/y).
-        Equals composite_super_schur(c).
-        """
-        m, n = self.m, self.n
-        nu, mu = c.nu, c.mu
-        if not (0 < q < m + 1 - mu.length):
-            raise ValueError("need 0 < q < m + 1 - l(mu)")
-        p = m - q
-        kappa = Partition(nu.parts[:q])
-        eta = Partition(nu.parts[q:])
-        head_ctx = SymFuncContext(p, n)
-        tail_ctx = SymFuncContext(q, n)
-        left_base = head_ctx.composite_super_schur(
-            CompositePartition(eta, mu))
-        right_base = tail_ctx.composite_super_schur(
-            CompositePartition(kappa, Partition()))
-        y_slots = tuple(range(1, n + 1))
-        total = LaurentPoly.zero(m, n)
-        for r, s in enumerate_splits(m, p):
-            sign, _ = split_pairing_sign(r, s)
-            prefac_exp = [0] * (m + n)
-            for i in r:
-                prefac_exp[i - 1] = 2 * q
-            piece = (LaurentPoly.monomial(m, n, tuple(prefac_exp))
-                     * left_base.embed(m, n, x_slots=r, y_slots=y_slots)
-                     * right_base.embed(m, n, x_slots=s, y_slots=y_slots))
-            for f in self._x_vandermonde_factors(r):
-                piece = piece * f
-            for f in self._x_vandermonde_factors(s):
-                piece = piece * f
-            total = total + sign * piece
-        return total.exact_divide(
-            self._x_vandermonde_factors(range(1, m + 1)))
-
-    # -- last-y-variable isolation ------------------------------------------
-
-    def isolate_last_y(self, c):
-        """Vertical-strip expansion over the last y variable.
-
-        Returns pairs (composite partition on (m, n-1), exponent of y_n)
-        such that summing s_{beta-bar;alpha}(x/y^(n-1)) * y_n^exponent
-        over the pairs reproduces s_{nu-bar;mu}(x/y).
-        """
-        if self.n < 1:
-            raise ValueError("no y variable to isolate")
-        out = []
-        for alpha in _vertical_strip_subs(c.mu):
-            for beta in _vertical_strip_subs(c.nu):
-                a = c.mu.size - alpha.size
-                b = c.nu.size - beta.size
-                out.append((CompositePartition(beta, alpha), a - b))
-        return out
+    Returns pairs (composite partition on (m, n-1), exponent of y_n)
+    such that summing s_{beta-bar;alpha}(x/y^(n-1)) * y_n^exponent
+    over the pairs reproduces s_{nu-bar;mu}(x/y).
+    """
+    if n < 1:
+        raise ValueError("no y variable to isolate")
+    out = []
+    for alpha in _vertical_strip_subs(c.mu):
+        for beta in _vertical_strip_subs(c.nu):
+            a = c.mu.size - alpha.size
+            b = c.nu.size - beta.size
+            out.append((CompositePartition(beta, alpha), a - b))
+    return out
 
 
 def _vertical_strip_subs(lam):

@@ -12,14 +12,14 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .characters import (lemma_rho_identities, lexical_raise_weight,
-                         su_zhang_char)
+from .characters import (_split_assemble, lemma_rho_identities,
+                         lexical_raise_weight, su_zhang_char)
 from .combinatorics import CompositePartition, Partition
 from .jacobi_trudi import general_char
 from .laurent import LaurentPoly
-from .symfunc import SymFuncContext
-from .weights import (Weight, atypical_roots, normalize_general, phi,
-                      phi_inverse, decompose, special_class)
+from .symfunc import composite_super_schur, isolate_last_y, schur
+from .weights import (Weight, atypical_roots, normalize_to_special, phi,
+                      phi_inverse, decompose)
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,15 @@ def suite_rho(grid=None, seed=None):
 
 
 def suite_split_classical(grid=None, seed=None):
-    """Split sums of Schur polynomials against the concatenated Schur."""
+    """Split sums of Schur polynomials against the concatenated Schur.
+
+    Sum over p-subsets x' of s_{mu+q^p}(x') s_nu(x'') is s_{(mu, nu)}(x);
+    s_{mu+q^p}(x') is (prod x')^q s_mu(x').
+    """
     grid = grid or GridSpec(m_max=4, n_max=0, entry_max=3)
     cases = 0
     failures = []
     for m in range(2, grid.m_max + 1):
-        ctx = SymFuncContext(m, 0)
         for p in range(1, m):
             q = m - p
             for mu in _partitions(p, grid.entry_max):
@@ -102,21 +105,26 @@ def suite_split_classical(grid=None, seed=None):
                     if any(concat[i] < concat[i + 1] for i in range(m - 1)):
                         continue
                     cases += 1
-                    lhs = ctx.split_sum_classical(mu, nu, p, q)
-                    rhs = ctx.schur(Partition(concat))
+                    lhs = _split_assemble(m, 0, p, q, schur(mu, p, 0),
+                                          schur(nu, q, 0))
+                    rhs = schur(Partition(concat), m, 0)
                     if lhs != rhs:
                         failures.append(f"m={m},p={p},mu={mu},nu={nu}")
     return _report("split-classical", cases, failures)
 
 
 def suite_split_super(grid=None, seed=None):
-    """Supersymmetric split sums against the block determinant."""
+    """Supersymmetric split sums against the block determinant.
+
+    kappa is the first q parts of nu and eta the rest; the sum over
+    (m-q)-subsets x' of (prod x')^q s_{eta-bar;mu}(x'/y) s_{kappa-bar}(x''/y)
+    is s_{nu-bar;mu}(x/y).
+    """
     grid = grid or GridSpec(m_max=4, n_max=2, entry_max=3)
     cases = 0
     failures = []
     for m in range(2, grid.m_max + 1):
         for n in range(1, grid.n_max + 1):
-            ctx = SymFuncContext(m, n)
             for mu in _partitions(m - 1, grid.entry_max):
                 for nu in _partitions(m - mu.length, grid.entry_max):
                     c = CompositePartition(nu, mu)
@@ -128,8 +136,14 @@ def suite_split_super(grid=None, seed=None):
                     if not 1 <= q <= m - mu.length - 1:
                         continue
                     cases += 1
-                    lhs = ctx.split_sum_super(c, q)
-                    rhs = ctx.composite_super_schur(c)
+                    p = m - q
+                    head = CompositePartition(Partition(nu.parts[q:]), mu)
+                    tail = CompositePartition(Partition(nu.parts[:q]),
+                                              Partition())
+                    lhs = _split_assemble(
+                        m, n, p, q, composite_super_schur(head, p, n),
+                        composite_super_schur(tail, q, n))
+                    rhs = composite_super_schur(c, m, n)
                     if lhs != rhs:
                         failures.append(f"m={m},n={n},c={c},q={q}")
     return _report("split-super", cases, failures)
@@ -142,8 +156,6 @@ def suite_isolate_y(grid=None, seed=None):
     failures = []
     for m in range(1, grid.m_max + 1):
         for n in range(1, grid.n_max + 1):
-            ctx = SymFuncContext(m, n)
-            sub = SymFuncContext(m, n - 1)
             x_slots = tuple(range(1, m + 1))
             y_slots = tuple(range(1, n))
             for mu in _partitions(m, grid.entry_max):
@@ -153,14 +165,14 @@ def suite_isolate_y(grid=None, seed=None):
                         continue
                     cases += 1
                     total = LaurentPoly.zero(m, n)
-                    for piece, y_exp in ctx.isolate_last_y(c):
-                        term = sub.composite_super_schur(piece).embed(
+                    for piece, y_exp in isolate_last_y(c, n):
+                        term = composite_super_schur(piece, m, n - 1).embed(
                             m, n, x_slots=x_slots, y_slots=y_slots)
                         e = [0] * (m + n)
                         e[m + n - 1] = 2 * y_exp
                         total = total + term * LaurentPoly.monomial(
                             m, n, tuple(e))
-                    if total != ctx.composite_super_schur(c):
+                    if total != composite_super_schur(c, m, n):
                         failures.append(f"m={m},n={n},c={c}")
     return _report("isolate-y", cases, failures)
 
@@ -254,7 +266,7 @@ def suite_phi_roundtrip(grid=None, seed=None):
                     cases += 1
                     tag = f"m={m},n={n},w={w}"
                     try:
-                        j, sc = normalize_general(w)
+                        j, sc = normalize_to_special(w)
                     except ValueError:
                         failures.append(tag)
                         continue

@@ -9,7 +9,6 @@ normalization, and the head/tail decomposition of special weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combinatorics import CompositePartition, Partition
 
@@ -66,22 +65,10 @@ def rho(m, n):
     return Weight(m, n, tuple(range(m, 0, -1)), tuple(range(-1, -n - 1, -1)))
 
 
-def rho0(m, n):
-    """Half the sum of even positive roots, as Fractions."""
-    return (tuple(Fraction(m - 1 - 2 * i, 2) for i in range(m)) +
-            tuple(Fraction(n - 1 - 2 * j, 2) for j in range(n)))
-
-
 def rho0_doubled(m, n):
     """rho0 on the doubled lattice."""
     return (tuple(m - 1 - 2 * i for i in range(m)) +
             tuple(n - 1 - 2 * j for j in range(n)))
-
-
-def rho1(m, n):
-    """Half the sum of odd positive roots, as Fractions."""
-    return (tuple(Fraction(n, 2) for _ in range(m)) +
-            tuple(Fraction(-m, 2) for _ in range(n)))
 
 
 @dataclass(frozen=True)
@@ -159,16 +146,13 @@ def has_constant_mu(w):
 
 
 def normalize_to_special(w):
-    """Find the unique j with w + j*sigma special; needs constant mu."""
+    """The sigma-shift ladder: the unique j with w + j*sigma in some P_k.
+
+    Needs a constant delta-part; returns (j, the special class).
+    """
     w.require_dominant()
     if not has_constant_mu(w):
         raise ValueError("delta-part is not constant")
-    return normalize_general(w)
-
-
-def normalize_general(w):
-    """The sigma-shift ladder: unique j with (w + j*sigma) in some P_k."""
-    w.require_dominant()
     beta = w.mu[0] if w.n else 0
     found = []
     for k in range(w.m + 1):
@@ -197,7 +181,8 @@ def phi(sc):
     eta = Partition(eta_conj).conjugate()
     nu = Partition(head + eta.parts)
     c = CompositePartition(nu, mu_cp)
-    assert phi_inverse(c, m, n).weight == w, "bijection self-check failed"
+    if phi_inverse(c, m, n).weight != w:
+        raise ArithmeticError(f"bijection self-check failed for {w}")
     return c
 
 

@@ -16,10 +16,10 @@ from superschur.characters import (dot_action, lexical_raise_weight,
 from superschur.cli import main
 from superschur.combinatorics import CompositePartition, Partition
 from superschur.jacobi_trudi import (general_char, weyl_dimension)
-from superschur.symfunc import SymFuncContext
+from superschur.symfunc import composite_schur
 from superschur.verify import GridSpec, run_suite
 from superschur.weights import (Weight, atypical_roots, decompose,
-                                normalize_general, phi, phi_inverse,
+                                normalize_to_special, phi, phi_inverse,
                                 special_class)
 
 GOLDEN = Weight(3, 2, (3, 2, -1), (-1, -1))
@@ -95,16 +95,15 @@ def test_criterion_4_identity_suites():
     (split_super,) = run_suite("split-super", GridSpec(4, 2, 3))
     assert split_super["failures"] == []
     # shift route vs determinant route for composite Schur polynomials:
-    # asserted internally on every call, exercised here over m <= 4
+    # checked internally on every call, exercised here over m <= 4
     for m in range(2, 5):
-        ctx = SymFuncContext(m, 0)
         parts = [Partition(p) for p in
                  [(), (1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1)]]
         for nu in parts:
             for mu in parts:
                 c = CompositePartition(nu, mu)
                 if c.is_standard(m):
-                    ctx.composite_schur(c)
+                    composite_schur(c, m, 0)
     assert time.time() - start < 300.0
 
 
@@ -152,7 +151,7 @@ def test_criterion_7_bijection_and_reassembly():
                     found = [j for j in range(beta, beta + m + 1)
                              if (sc := special_class(w.plus_sigma(j)))
                              is not None and sc.k == j - beta]
-                    j, _ = normalize_general(w)
+                    j, _ = normalize_to_special(w)
                     assert found == [j]
     # head/tail reassembly on the worked example, exactly
     sc = special_class(WORKED)

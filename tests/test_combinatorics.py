@@ -59,11 +59,6 @@ def test_conjugate_counts_columns(p):
         assert conj.part(j) == sum(1 for v in p.parts if v >= j)
 
 
-def test_contains():
-    assert Partition((3, 2)).contains(Partition((2, 2)))
-    assert not Partition((3, 2)).contains(Partition((1, 1, 1)))
-
-
 def test_partition_parse_str_roundtrip():
     assert Partition.parse("3,1") == Partition((3, 1))
     assert Partition.parse("0") == Partition()

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superschur.characters import _alternant_quotient
+from superschur import symfunc
+from superschur.characters import _alternant_quotient, _split_assemble
 from superschur.combinatorics import CompositePartition, Partition
-from superschur.laurent import LaurentPoly, NonzeroRemainder, perm_sign
-from superschur.symfunc import SymFuncContext, poly_det
+from superschur.laurent import (ArityMismatchError, LaurentPoly,
+                                NonzeroRemainder, perm_sign)
+from superschur.symfunc import (_dual_super_h, _e_y, _h_x, _super_h,
+                                composite_schur, composite_super_schur,
+                                isolate_last_y, poly_det, schur, super_schur)
 
 
 def brute_h(m, n, r):
@@ -73,40 +77,35 @@ def small_matrix_strategy(draw, size_max=3):
 
 
 def test_h_classical_matches_enumeration():
-    ctx = SymFuncContext(3, 2)
     for r in range(0, 5):
-        assert ctx.h_classical(r) == brute_h(3, 2, r)
-    assert ctx.h_classical(-1).is_zero()
+        assert _h_x(3, 2, r) == brute_h(3, 2, r)
+    assert _h_x(3, 2, -1).is_zero()
 
 
 def test_e_classical_matches_enumeration():
-    ctx = SymFuncContext(2, 3)
     for r in range(0, 5):
-        assert ctx.e_classical(r) == brute_e(2, 3, r)
-    assert ctx.e_classical(4).is_zero()  # e_r(y) = 0 for r > n
+        assert _e_y(2, 3, r) == brute_e(2, 3, r)
+    assert _e_y(2, 3, 4).is_zero()  # e_r(y) = 0 for r > n
 
 
 def test_super_h_is_convolution():
-    ctx = SymFuncContext(2, 2)
     for r in range(0, 5):
         expected = LaurentPoly.zero(2, 2)
         for k in range(0, r + 1):
             expected = expected + brute_h(2, 2, k) * brute_e(2, 2, r - k)
-        assert ctx.super_h(r) == expected
-    assert ctx.super_h(-2).is_zero()
+        assert _super_h(2, 2, r) == expected
+    assert _super_h(2, 2, -2).is_zero()
 
 
 def test_dual_super_h_is_inverted():
-    ctx = SymFuncContext(2, 2)
     for r in range(0, 4):
-        assert ctx.dual_super_h(r) == ctx.super_h(r).invert_variables()
+        assert _dual_super_h(2, 2, r) == _super_h(2, 2, r).invert_variables()
 
 
 def test_super_h_supersymmetry_cancellation():
     # substituting x_m = t, y_n = -t makes the value independent of t
-    ctx = SymFuncContext(2, 2)
     for r in range(1, 5):
-        p = ctx.super_h(r)
+        p = _super_h(2, 2, r)
         v1 = p.evaluate([3, 2], [5, -2])
         v2 = p.evaluate([3, 7], [5, -7])
         assert v1 == v2
@@ -144,11 +143,10 @@ def test_poly_det_empty_and_identity():
 
 
 def test_schur_known_values():
-    ctx = SymFuncContext(2, 0)
     x1, x2 = LaurentPoly.x(2, 0, 1), LaurentPoly.x(2, 0, 2)
-    assert ctx.schur(Partition((1,))) == x1 + x2
-    assert ctx.schur(Partition((1, 1))) == x1 * x2
-    assert ctx.schur(Partition((2, 1))) == x1 * x2 * (x1 + x2)
+    assert schur(Partition((1,)), 2, 0) == x1 + x2
+    assert schur(Partition((1, 1)), 2, 0) == x1 * x2
+    assert schur(Partition((2, 1)), 2, 0) == x1 * x2 * (x1 + x2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,42 +155,37 @@ def test_schur_det_equals_bialternant(parts):
     # the h-determinant against the bialternant quotient at 2(lam + delta),
     # which is (prod x)^{(k-1)/2} s_lam and is built without any division
     lam = Partition(tuple(sorted(parts, reverse=True)))
-    ctx = SymFuncContext(3, 0)
     vals = tuple(2 * (p + 2 - i) for i, p in enumerate(lam.padded(3)))
     quotient = {tuple(v - 2 for v in e): c
                 for e, c in _alternant_quotient(vals).items()}
-    assert ctx.schur(lam) == LaurentPoly(3, 0, quotient)
+    assert schur(lam, 3, 0) == LaurentPoly(3, 0, quotient)
 
 
 def test_schur_too_long_vanishes():
-    ctx = SymFuncContext(2, 0)
-    assert ctx.schur(Partition((1, 1, 1))).is_zero()
+    assert schur(Partition((1, 1, 1)), 2, 0).is_zero()
 
 
-# -- composite Schur (both routes asserted equal internally) -----------------
+# -- composite Schur (both routes checked equal internally) ------------------
 
 
 def test_composite_schur_examples():
-    ctx = SymFuncContext(2, 0)
     x1, x2 = LaurentPoly.x(2, 0, 1), LaurentPoly.x(2, 0, 2)
     c = CompositePartition(Partition((1,)), Partition())
-    assert ctx.composite_schur(c) == x1 ** -1 + x2 ** -1
+    assert composite_schur(c, 2, 0) == x1 ** -1 + x2 ** -1
     c = CompositePartition(Partition((1,)), Partition((1,)))
-    assert ctx.composite_schur(c) == \
+    assert composite_schur(c, 2, 0) == \
         x1 * x2 ** -1 + LaurentPoly.one(2, 0) + x1 ** -1 * x2
 
 
 def test_composite_schur_requires_standard():
-    ctx = SymFuncContext(1, 0)
     with pytest.raises(ValueError):
-        ctx.composite_schur(CompositePartition(Partition((1,)),
-                                               Partition((1,))))
+        composite_schur(CompositePartition(Partition((1,)), Partition((1,))),
+                        1, 0)
 
 
 def test_composite_schur_shift_vs_det_grid():
     # both routes agree on every m-standard composite with small parts
     for m in (2, 3):
-        ctx = SymFuncContext(m, 0)
         parts = [Partition(p) for p in
                  [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]]
         for nu in parts:
@@ -200,85 +193,84 @@ def test_composite_schur_shift_vs_det_grid():
                 c = CompositePartition(nu, mu)
                 if not c.is_standard(m):
                     continue
-                ctx.composite_schur(c)  # internal equality assertion
+                composite_schur(c, m, 0)  # raises ArithmeticError if not
+
+
+def test_composite_schur_route_disagreement_raises(monkeypatch):
+    # a wrong shift route must surface as an error, also under python -O
+    monkeypatch.setattr(symfunc, "schur",
+                        lambda lam, m, n: LaurentPoly.one(m, n))
+    c = CompositePartition(Partition((1,)), Partition((1,)))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        composite_schur(c, 2, 0)
 
 
 # -- supersymmetric S-functions -----------------------------------------------
 
 
 def test_super_schur_row_is_super_h():
-    ctx = SymFuncContext(2, 1)
     for r in range(1, 4):
-        assert ctx.super_schur(Partition((r,))) == ctx.super_h(r)
+        assert super_schur(Partition((r,)), 2, 1) == _super_h(2, 1, r)
 
 
 def test_composite_super_schur_single_dual_entry():
-    ctx = SymFuncContext(1, 1)
     c = CompositePartition(Partition((1,)), Partition())
     x1, y1 = LaurentPoly.x(1, 1, 1), LaurentPoly.y(1, 1, 1)
-    assert ctx.composite_super_schur(c) == x1 ** -1 + y1 ** -1
+    assert composite_super_schur(c, 1, 1) == x1 ** -1 + y1 ** -1
 
 
 def test_composite_super_schur_empty_is_one():
-    ctx = SymFuncContext(2, 1)
     c = CompositePartition(Partition(), Partition())
-    assert ctx.composite_super_schur(c) == LaurentPoly.one(2, 1)
+    assert composite_super_schur(c, 2, 1) == LaurentPoly.one(2, 1)
 
 
 # -- split identities -----------------------------------------------------------
 
 
-def test_split_sum_classical_small():
-    ctx = SymFuncContext(3, 0)
-    mu, nu = Partition((2,)), Partition((1,))
-    lhs = ctx.split_sum_classical(mu, nu, 1, 2)
-    assert lhs == ctx.schur(Partition((2, 1, 0)))
+def test_split_assemble_classical_small():
+    # sum over 1-subsets x' of (x')^2 s_2(x') s_1(x'') is s_{2,1,0}(x)
+    left = schur(Partition((2,)), 1, 0)
+    right = schur(Partition((1,)), 2, 0)
+    lhs = _split_assemble(3, 0, 1, 2, left, right)
+    assert lhs == schur(Partition((2, 1, 0)), 3, 0)
 
 
-def test_split_sum_classical_rejects_bad_blocks():
-    ctx = SymFuncContext(3, 0)
-    with pytest.raises(ValueError):
-        ctx.split_sum_classical(Partition((1,)), Partition((2,)), 1, 1)
-    with pytest.raises(ValueError):
-        ctx.split_sum_classical(Partition((1,)), Partition((2,)), 1, 2)
-
-
-def test_split_sum_super_small():
-    ctx = SymFuncContext(2, 1)
-    c = CompositePartition(Partition((2, 1)), Partition())
-    # nu_1 = 2 >= n = 1 > nu_2 = 1 is false; use the cut at q with nu_q >= n
-    q = sum(1 for p in c.nu.parts if p >= 1)
-    assert q == 2
-    # q = 2 leaves no head block; use a composite with a real split instead
+def test_split_assemble_super_small():
+    # nu = (1,), mu = (1,) on gl(2|1): the cut at q = 1 leaves eta empty
     c = CompositePartition(Partition((1,)), Partition((1,)))
-    lhs = ctx.split_sum_super(c, 1)
-    assert lhs == ctx.composite_super_schur(c)
+    left = composite_super_schur(
+        CompositePartition(Partition(), Partition((1,))), 1, 1)
+    right = composite_super_schur(
+        CompositePartition(Partition((1,)), Partition()), 1, 1)
+    lhs = _split_assemble(2, 1, 1, 1, left, right)
+    assert lhs == composite_super_schur(c, 2, 1)
 
 
-def test_split_sum_super_rejects_bad_cut():
-    ctx = SymFuncContext(2, 1)
-    c = CompositePartition(Partition((1,)), Partition((1,)))
-    with pytest.raises(ValueError):
-        ctx.split_sum_super(c, 2)  # needs q < m + 1 - l(mu)
+def test_split_assemble_rejects_wrong_arity():
+    # on gl(3|n) with p = 1 the head lives on (1|n) and the tail on (2|n)
+    one_1, one_2 = LaurentPoly.one(1, 0), LaurentPoly.one(2, 0)
+    with pytest.raises(ArityMismatchError):
+        _split_assemble(3, 0, 1, 0, one_2, one_2)
+    with pytest.raises(ArityMismatchError):
+        _split_assemble(3, 0, 1, 0, one_1, one_1)
+    with pytest.raises(ArityMismatchError):
+        _split_assemble(3, 1, 1, 0, one_1, LaurentPoly.one(2, 1))
 
 
 def test_isolate_last_y_reconstruction():
     m, n = 2, 2
-    ctx = SymFuncContext(m, n)
-    sub = SymFuncContext(m, n - 1)
     c = CompositePartition(Partition((1,)), Partition((1,)))
     total = LaurentPoly.zero(m, n)
-    for piece, y_exp in ctx.isolate_last_y(c):
-        term = sub.composite_super_schur(piece).embed(
+    for piece, y_exp in isolate_last_y(c, n):
+        term = composite_super_schur(piece, m, n - 1).embed(
             m, n, x_slots=(1, 2), y_slots=(1,))
         mono = LaurentPoly.monomial(m, n, (0, 0, 0, 2 * y_exp))
         total = total + term * mono
-    assert total == ctx.composite_super_schur(c)
+    assert total == composite_super_schur(c, m, n)
 
 
 def test_division_catches_non_identities():
     # the split machinery's final exact division fails loudly on junk
-    ctx = SymFuncContext(2, 0)
     x1, x2 = LaurentPoly.x(2, 0, 1), LaurentPoly.x(2, 0, 2)
     with pytest.raises(NonzeroRemainder):
         (x1 + 1).exact_divide(x1 - x2)

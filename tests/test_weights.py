@@ -1,16 +1,13 @@
 """Weights, rho vectors, atypicality, special classes, and the bijection."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superschur.combinatorics import CompositePartition, Partition
 from superschur.weights import (Weight, atypical_roots, decompose,
-                                has_constant_mu, normalize_general,
-                                normalize_to_special, phi, phi_inverse,
-                                rho, rho0, rho1, special_class,
+                                has_constant_mu, normalize_to_special, phi,
+                                phi_inverse, rho, special_class,
                                 special_violation)
 
 
@@ -53,8 +50,6 @@ def test_sigma_shift():
 
 def test_rho_vectors():
     assert rho(3, 2) == Weight(3, 2, (3, 2, 1), (-1, -2))
-    assert rho0(2, 1) == (Fraction(1, 2), Fraction(-1, 2), Fraction(0))
-    assert rho1(2, 1) == (Fraction(1, 2), Fraction(1, 2), Fraction(-1))
 
 
 # -- atypicality ------------------------------------------------------------
@@ -138,7 +133,7 @@ def test_normalizing_shift_is_unique(w):
             found.append(beta + k)
     if has_constant_mu(w):
         assert len(found) == 1
-        j, sc = normalize_general(w)
+        j, sc = normalize_to_special(w)
         assert [j] == found
 
 
