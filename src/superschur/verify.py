@@ -87,6 +87,37 @@ def suite_rho(grid=None, seed=None):
     return _report("rho", cases, failures)
 
 
+def split_classical_factors(m, mu, nu, p, q):
+    """Head and tail factors s_mu(x') and s_nu(x'') of the classical split.
+
+    Raises ValueError unless p + q = m, mu and nu fit their blocks and
+    their concatenation is a partition.
+    """
+    if p + q != m:
+        raise ValueError("p + q must be m")
+    if mu.length > p or nu.length > q:
+        raise ValueError("partition longer than its block")
+    concat = mu.padded(p) + nu.padded(q)
+    if any(concat[i] < concat[i + 1] for i in range(m - 1)):
+        raise ValueError("concatenation is not weakly decreasing")
+    return schur(mu, p, 0), schur(nu, q, 0)
+
+
+def split_super_factors(c, q, m, n):
+    """Head and tail factors s_{eta-bar;mu}(x'/y) and s_{kappa-bar}(x''/y).
+
+    kappa is the first q parts of nu and eta the rest; raises ValueError
+    unless 0 < q < m + 1 - l(mu).
+    """
+    nu, mu = c.nu, c.mu
+    if not 0 < q < m + 1 - mu.length:
+        raise ValueError("need 0 < q < m + 1 - l(mu)")
+    head = CompositePartition(Partition(nu.parts[q:]), mu)
+    tail = CompositePartition(Partition(nu.parts[:q]), Partition())
+    return (composite_super_schur(head, m - q, n),
+            composite_super_schur(tail, q, n))
+
+
 def suite_split_classical(grid=None, seed=None):
     """Split sums of Schur polynomials against the concatenated Schur.
 
@@ -105,8 +136,8 @@ def suite_split_classical(grid=None, seed=None):
                     if any(concat[i] < concat[i + 1] for i in range(m - 1)):
                         continue
                     cases += 1
-                    lhs = _split_assemble(m, 0, p, q, schur(mu, p, 0),
-                                          schur(nu, q, 0))
+                    left, right = split_classical_factors(m, mu, nu, p, q)
+                    lhs = _split_assemble(m, 0, p, q, left, right)
                     rhs = schur(Partition(concat), m, 0)
                     if lhs != rhs:
                         failures.append(f"m={m},p={p},mu={mu},nu={nu}")
@@ -136,13 +167,8 @@ def suite_split_super(grid=None, seed=None):
                     if not 1 <= q <= m - mu.length - 1:
                         continue
                     cases += 1
-                    p = m - q
-                    head = CompositePartition(Partition(nu.parts[q:]), mu)
-                    tail = CompositePartition(Partition(nu.parts[:q]),
-                                              Partition())
-                    lhs = _split_assemble(
-                        m, n, p, q, composite_super_schur(head, p, n),
-                        composite_super_schur(tail, q, n))
+                    left, right = split_super_factors(c, q, m, n)
+                    lhs = _split_assemble(m, n, m - q, q, left, right)
                     rhs = composite_super_schur(c, m, n)
                     if lhs != rhs:
                         failures.append(f"m={m},n={n},c={c},q={q}")

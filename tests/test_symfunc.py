@@ -15,6 +15,7 @@ from superschur.laurent import (ArityMismatchError, LaurentPoly,
 from superschur.symfunc import (_dual_super_h, _e_y, _h_x, _super_h,
                                 composite_schur, composite_super_schur,
                                 isolate_last_y, poly_det, schur, super_schur)
+from superschur.verify import split_classical_factors, split_super_factors
 
 
 def brute_h(m, n, r):
@@ -235,6 +236,13 @@ def test_split_assemble_classical_small():
     assert lhs == schur(Partition((2, 1, 0)), 3, 0)
 
 
+def test_split_sum_classical_rejects_bad_blocks():
+    with pytest.raises(ValueError):
+        split_classical_factors(3, Partition((1,)), Partition((2,)), 1, 1)
+    with pytest.raises(ValueError):
+        split_classical_factors(3, Partition((1,)), Partition((2,)), 1, 2)
+
+
 def test_split_assemble_super_small():
     # nu = (1,), mu = (1,) on gl(2|1): the cut at q = 1 leaves eta empty
     c = CompositePartition(Partition((1,)), Partition((1,)))
@@ -244,6 +252,12 @@ def test_split_assemble_super_small():
         CompositePartition(Partition((1,)), Partition()), 1, 1)
     lhs = _split_assemble(2, 1, 1, 1, left, right)
     assert lhs == composite_super_schur(c, 2, 1)
+
+
+def test_split_sum_super_rejects_bad_cut():
+    c = CompositePartition(Partition((1,)), Partition((1,)))
+    with pytest.raises(ValueError):
+        split_super_factors(c, 2, 2, 1)  # needs q < m + 1 - l(mu)
 
 
 def test_split_assemble_rejects_wrong_arity():
