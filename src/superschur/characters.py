@@ -2,21 +2,20 @@
 the closed form for typical constant-delta weights, and the split-sum
 reduction to smaller superalgebras.
 
-All results are exact LaurentPoly values.  The alternating sum is
-collected per antisymmetrized monomial class, and each class is expanded
-through the Weyl denominator by the bialternant identity: the quotient of
-a class alternant by the half Vandermonde is a monomial times a Schur
-polynomial, which is built by the branching rule, without division.
+All results are exact LaurentPoly values with int coefficients.  The
+alternating sum and the split sum are both collected per antisymmetrized
+monomial class, and each class is expanded through the Weyl denominator
+by the bialternant identity: the quotient of a class alternant by the
+half Vandermonde is a monomial times a Schur polynomial, which is built
+by the branching rule, without division.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .combinatorics import enumerate_cycle_types, enumerate_splits, \
-    split_pairing_sign
+from .combinatorics import enumerate_cycle_types
 from .laurent import LaurentPoly, NonzeroRemainder, _sort_desc_sign
 from .symfunc import x_vandermonde_polys
 from .weights import Weight, atypical_roots, decompose, rho0_doubled
@@ -68,28 +67,6 @@ def s_lambda_set(w, data=None):
 
 
 # -- the cone, dot action, and lexical raising ------------------------------
-
-
-@dataclass(frozen=True)
-class ConeElement:
-    """base - sum(offsets_s * gamma_s) inside the base weight's cone."""
-
-    base: Weight
-    offsets: tuple[int, ...]
-
-    @property
-    def level(self):
-        return sum(self.offsets)
-
-    @property
-    def value(self):
-        data = atypical_roots(self.base)
-        lam = list(self.base.lam)
-        mu = list(self.base.mu)
-        for i, (ms, ns) in zip(self.offsets, data.roots):
-            lam[ms - 1] -= i
-            mu[ns - 1] += i
-        return Weight(self.base.m, self.base.n, tuple(lam), tuple(mu))
 
 
 def dot_action(perm, w, data):
@@ -149,18 +126,6 @@ def cone_offsets(base, v, data):
     if tuple(lam) != base.lam or tuple(mu) != base.mu:
         raise ValueError(f"{v} is not in the cone of {base}")
     return tuple(offs)
-
-
-def lexical_raise(elem):
-    """ConeElement-level raise; the result stays in the same cone."""
-    data = atypical_roots(elem.base)
-    raised = lexical_raise_weight(elem.value, data)
-    return ConeElement(elem.base, cone_offsets(elem.base, raised, data))
-
-
-def is_lexical(v, data):
-    a = [v.mu[ns - 1] - ns for _, ns in data.roots]
-    return all(a[s] >= a[s + 1] for s in range(len(a) - 1))
 
 
 # -- alternant / Weyl-denominator quotients ---------------------------------
@@ -423,31 +388,63 @@ def lemma_rho_identities(m, n, p, q):
 
 
 def _split_assemble(m, n, p, power, left_base, right_base):
-    """Sum over splits of (prod x')^power * left(x'/y) * right(x''/y),
-    with denominators cleared against the full x-Vandermonde.
+    """Sum over splits of (prod x')^power * left(x'/y) * right(x''/y).
 
     x' runs over the p-subsets of x_1..x_m and x'' over their
     complements; left_base lives on (p|n) and right_base on (m-p|n),
-    and ArityMismatchError is raised otherwise.  The sum is assembled
-    over the common denominator prod_{i<j}(x_i - x_j) and divided
-    exactly, so a sum that is not a polynomial raises NonzeroRemainder.
+    and ArityMismatchError is raised otherwise.  Only the split
+    x' = x_1..x_p is built, as the numerator
+    F = (prod x')^power * left(x'/y) * right(x''/y) * V(x') * V(x'')
+    over the Vandermonde V(x) = prod_{i<j}(x_i - x_j).  F is
+    antisymmetric in x' and in x'', so the signed sum over splits is
+    the alternant of F divided by p!(m-p)!, which sums the x-alternants
+    of F's block-sorted terms.  Each is expanded by _alternant_quotient,
+    shifted by (prod x)^{-(m-1)/2} since V is the half Vandermonde times
+    (prod x)^{(m-1)/2}.  NonzeroRemainder is raised unless F is
+    antisymmetric in x' and in x'', as when a factor is not symmetric
+    in its x variables.
     """
+    head, tail = tuple(range(1, p + 1)), tuple(range(p + 1, m + 1))
     y_slots = tuple(range(1, n + 1))
-    total = LaurentPoly.zero(m, n)
-    for r, s in enumerate_splits(m, p):
-        sign, _ = split_pairing_sign(r, s)
-        prefac = [0] * (m + n)
-        for i in r:
-            prefac[i - 1] = 2 * power
-        piece = (LaurentPoly.monomial(m, n, tuple(prefac))
-                 * left_base.embed(m, n, x_slots=r, y_slots=y_slots)
-                 * right_base.embed(m, n, x_slots=s, y_slots=y_slots))
-        for f in x_vandermonde_polys(m, n, r):
-            piece = piece * f
-        for f in x_vandermonde_polys(m, n, s):
-            piece = piece * f
-        total = total + sign * piece
-    return total.exact_divide(x_vandermonde_polys(m, n, range(1, m + 1)))
+    numer = (LaurentPoly.monomial(m, n, (2 * power,) * p + (0,) * (m - p + n))
+             * left_base.embed(m, n, x_slots=head, y_slots=y_slots)
+             * right_base.embed(m, n, x_slots=tail, y_slots=y_slots))
+    for f in x_vandermonde_polys(m, n, head) + x_vandermonde_polys(m, n, tail):
+        numer = numer * f
+    terms = numer.terms
+    classes = {}
+    block_sorted = 0
+    for e, c in terms.items():
+        s1, xs1 = _sort_desc_sign(e[:p])
+        s2, xs2 = _sort_desc_sign(e[p:m])
+        if not (s1 and s2
+                and terms.get(tuple(xs1 + xs2) + e[m:]) == s1 * s2 * c):
+            raise NonzeroRemainder(
+                f"split numerator is not antisymmetric in x' and x'' at {e}")
+        if tuple(xs1 + xs2) != e[:m]:
+            continue
+        block_sorted += 1
+        sign, xs = _sort_desc_sign(e[:m])
+        if sign:
+            key = (tuple(v - (m - 1) for v in xs), e[m:])
+            classes[key] = classes.get(key, 0) + sign * c
+    # every term folds onto a block-sorted term, so each orbit is whole
+    # when the terms number p!(m-p)! per block-sorted term
+    if len(terms) != factorial(p) * factorial(m - p) * block_sorted:
+        raise NonzeroRemainder(
+            "split numerator is not antisymmetric in x' and x''")
+    result = {}
+    for (xs, ey), c in classes.items():
+        if not c:
+            continue
+        for a, ca in _alternant_quotient(xs).items():
+            key = a + ey
+            v = result.get(key, 0) + c * ca
+            if v:
+                result[key] = v
+            else:
+                del result[key]
+    return LaurentPoly(m, n, result)
 
 
 def reduction_char(sc, cap=None):
@@ -455,7 +452,7 @@ def reduction_char(sc, cap=None):
 
     The head lives on gl(m-k|n), the tail on gl(k|n); their characters
     are spliced back together by a split sum over the x-alphabet with
-    prefactor (prod x')^k, denominators cleared exactly.
+    prefactor (prod x')^k.
     """
     w, k = sc.weight, sc.k
     m, n = w.m, w.n

@@ -1,12 +1,9 @@
-"""Partitions, composite partitions, block-cycle permutations, and splits."""
+"""Partitions, composite partitions and block-cycle permutations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial
-
-from .laurent import perm_sign
 
 
 @dataclass(frozen=True)
@@ -152,25 +149,3 @@ def enumerate_cycle_types(r):
         blocks.append(r - last)
         out.append(CycleTypePermutation.from_blocks(tuple(blocks)))
     return out
-
-
-def enumerate_splits(m, p):
-    """All ways to cut {1..m} into an ascending p-subset and its complement."""
-    out = []
-    universe = set(range(1, m + 1))
-    for r in combinations(range(1, m + 1), p):
-        s = tuple(sorted(universe - set(r)))
-        out.append((r, s))
-    return out
-
-
-def split_pairing_sign(r, s):
-    """Sign relating a split's Vandermonde factors to the full one.
-
-    The concatenation (r_1..r_p, s_1..s_q) is a permutation of 1..m;
-    returns (its sign, the permutation as a 0-based one-line tuple).
-    """
-    concat = tuple(v - 1 for v in (r + s))
-    if sorted(concat) != list(range(len(concat))):
-        raise ValueError("split is not a partition of 1..m")
-    return perm_sign(concat), concat

@@ -3,8 +3,10 @@
 A polynomial lives in variables x_1..x_m, y_1..y_n.  Exponents may be
 half-integers (they arise from square roots of monomials), so every
 exponent vector is stored doubled: the tuple entry 2*e, always an int.
-Coefficients are exact ints or Fractions; zero coefficients are never
-stored, so equality is dict equality.
+Coefficients are ints; zero coefficients are never stored, so equality
+is dict equality.  Only `evaluate` leaves the integers, for rational
+evaluation points.  No route divides: `exact_divide` is the reference
+that the tests check quotients against.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ def perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
-def _normalize_coeff(c):
-    if c.__class__ is Fraction and c.denominator == 1:
-        return int(c)
-    return c
-
-
 # Packed-integer encoding of exponent vectors used by multiplication
 # and determinants: each entry goes into a fixed-width field with a
 # bias so fields stay nonnegative, making the product of two monomials
@@ -82,7 +78,7 @@ def _unpack(k, width, shift, total_bias):
 
 
 class LaurentPoly:
-    """Immutable-by-convention Laurent polynomial with exact coefficients."""
+    """Immutable-by-convention Laurent polynomial with int coefficients."""
 
     __slots__ = ("m", "n", "terms")
 
@@ -96,7 +92,6 @@ class LaurentPoly:
                 if len(exp2) != width:
                     raise ArityMismatchError(
                         f"exponent width {len(exp2)} != {width}")
-                c = _normalize_coeff(c)
                 if c:
                     clean[tuple(exp2)] = c
         self.terms = clean
@@ -177,9 +172,6 @@ class LaurentPoly:
         e = min(self.terms, key=order_key)
         return e, self.terms[e]
 
-    def is_integral(self):
-        return all(isinstance(c, int) for c in self.terms.values())
-
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self):
@@ -188,14 +180,16 @@ class LaurentPoly:
         return out
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.constant(self.m, self.n, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check_arity(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c
             if s:
-                terms[e] = _normalize_coeff(s)
+                terms[e] = s
             else:
                 terms.pop(e, None)
         out = LaurentPoly(self.m, self.n)
@@ -205,7 +199,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.constant(self.m, self.n, other)
         return self + (-other)
 
@@ -213,13 +207,14 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return LaurentPoly.zero(self.m, self.n)
             out = LaurentPoly(self.m, self.n)
-            out.terms = {e: _normalize_coeff(c * other)
-                         for e, c in self.terms.items()}
+            out.terms = {e: c * other for e, c in self.terms.items()}
             return out
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check_arity(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -244,28 +239,22 @@ class LaurentPoly:
                     packed[k] = s
                 else:
                     del packed[k]
-        ints_only = (all(c.__class__ is int for c in a.values())
-                     and all(c.__class__ is int for c in b.values()))
-        if ints_only:
-            out.terms = {_unpack(k, width, shift, 2 * bias): c
-                         for k, c in packed.items()}
-        else:
-            out.terms = {_unpack(k, width, shift, 2 * bias): _normalize_coeff(c)
-                         for k, c in packed.items()}
+        out.terms = {_unpack(k, width, shift, 2 * bias): c
+                     for k, c in packed.items()}
         return out
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
+            # over the integers only the monomials with coefficient
+            # +-1 are units, and each is its own coefficient's inverse
             if len(self.terms) != 1:
                 raise ValueError("negative power of a non-monomial")
             e, c = next(iter(self.terms.items()))
             if c != 1 and c != -1:
-                if Fraction(1, 1) / c * c != 1:
-                    raise ValueError("coefficient not invertible")
-            inv = LaurentPoly(self.m, self.n,
-                              {tuple(-v for v in e): Fraction(1, 1) / c})
+                raise ValueError(f"coefficient {c} is not a unit")
+            inv = LaurentPoly(self.m, self.n, {tuple(-v for v in e): c})
             return inv ** (-k)
         out = LaurentPoly.one(self.m, self.n)
         base = self
@@ -322,10 +311,10 @@ class LaurentPoly:
             steps += 1
             if steps > max_steps:
                 raise NonzeroRemainder("division did not terminate")
-            if isinstance(c, int) and isinstance(lead_c, int) and c % lead_c == 0:
-                qc = c // lead_c
-            else:
-                qc = _normalize_coeff(Fraction(c) / lead_c)
+            qc, rem = divmod(c, lead_c)
+            if rem:
+                raise NonzeroRemainder(
+                    f"coefficient {c} is not a multiple of {lead_c}")
             qe = tuple(p - q for p, q in zip(e, lead_e))
             quotient[qe] = quotient.get(qe, 0) + qc
             for be, bc in rest:
@@ -420,7 +409,7 @@ class LaurentPoly:
                 else:
                     del terms[ne]
         out = LaurentPoly(self.m, self.n)
-        out.terms = {e: _normalize_coeff(c) for e, c in terms.items()}
+        out.terms = terms
         return out
 
     def invert_variables(self):
@@ -458,7 +447,10 @@ class LaurentPoly:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, xs, ys):
-        """Evaluate at nonzero rationals.  Requires integer exponents."""
+        """Value, as a Fraction, at nonzero rationals.
+
+        Requires integer exponents.
+        """
         if len(xs) != self.m or len(ys) != self.n:
             raise ArityMismatchError("wrong number of evaluation points")
         vals = [Fraction(v) for v in xs] + [Fraction(v) for v in ys]
@@ -472,11 +464,10 @@ class LaurentPoly:
                     raise ValueError("half-integer exponent cannot be evaluated")
                 prod *= v ** (d // 2)
             total += prod
-        return _normalize_coeff(total)
+        return total
 
     def sum_of_coefficients(self):
-        total = sum(self.terms.values())
-        return _normalize_coeff(total) if total else 0
+        return sum(self.terms.values())
 
     # -- serialization and display ----------------------------------------
 
@@ -500,7 +491,7 @@ class LaurentPoly:
         m, n = data["arity"]
         terms = {}
         for t in data["terms"]:
-            terms[tuple(t["exp2"])] = Fraction(t["coeff"])
+            terms[tuple(t["exp2"])] = int(t["coeff"])
         return cls(m, n, terms)
 
     @classmethod

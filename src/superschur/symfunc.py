@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import factorial
 
 from .combinatorics import CompositePartition, Partition
@@ -171,46 +172,7 @@ def poly_det(mat, m, n):
                    key=lambda i: sum(len(e.terms) for e in mat[i]))
     row_sign = perm_sign(tuple(order))
     pmat = [[packed[id(entry)] for entry in mat[i]] for i in order]
-    memo = {}
-
-    def minor(row, cols):
-        if row == size:
-            return {0: 1}
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        acc = {}
-        get = acc.get
-        for idx, c in enumerate(cols):
-            entry = pmat[row][c]
-            if not entry:
-                continue
-            sub = minor(row + 1, cols[:idx] + cols[idx + 1:])
-            sign = 1 if idx % 2 == 0 else -1
-            for kb, cb in sub.items():
-                cb *= sign
-                for ka, ca in entry.items():
-                    k = ka + kb
-                    acc[k] = get(k, 0) + ca * cb
-        sums = {}
-        for k, c in acc.items():
-            if c:
-                r = rep_of.get(k)
-                if r is None:
-                    r = fold(k)
-                sums[r] = sums.get(r, 0) + c
-        out = {}
-        for r, s in sums.items():
-            if s:
-                if s % orbit_size[r]:
-                    raise NonzeroRemainder(
-                        f"orbit sum {s} is not a multiple of the orbit "
-                        f"size {orbit_size[r]}")
-                out[r] = s
-        memo[cols] = out
-        return out
-
-    det = minor(0, tuple(range(size)))
+    det = _minor(pmat, 0, tuple(range(size)), {}, fold, rep_of, orbit_size)
     terms = {}
     for r, s in det.items():
         c = s // orbit_size[r] * row_sign
@@ -221,6 +183,51 @@ def poly_det(mat, m, n):
                 terms[ex + ey] = c
     out = LaurentPoly(m, n)
     out.terms = terms
+    return out
+
+
+def _minor(pmat, row, cols, memo, fold, rep_of, orbit_size):
+    """Orbit sums of the minor of pmat on rows row.. and columns cols.
+
+    memo, keyed by column set, is shared by the recursive calls; fold
+    maps a packed key to its orbit representative and records it in
+    rep_of, and orbit_size holds each representative's orbit size.
+    """
+    if row == len(pmat):
+        return {0: 1}
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    acc = {}
+    get = acc.get
+    for idx, c in enumerate(cols):
+        entry = pmat[row][c]
+        if not entry:
+            continue
+        sub = _minor(pmat, row + 1, cols[:idx] + cols[idx + 1:], memo,
+                     fold, rep_of, orbit_size)
+        sign = 1 if idx % 2 == 0 else -1
+        for kb, cb in sub.items():
+            cb *= sign
+            for ka, ca in entry.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    sums = {}
+    for k, c in acc.items():
+        if c:
+            r = rep_of.get(k)
+            if r is None:
+                r = fold(k)
+            sums[r] = sums.get(r, 0) + c
+    out = {}
+    for r, s in sums.items():
+        if s:
+            if s % orbit_size[r]:
+                raise NonzeroRemainder(
+                    f"orbit sum {s} is not a multiple of the orbit "
+                    f"size {orbit_size[r]}")
+            out[r] = s
+    memo[cols] = out
     return out
 
 
@@ -288,14 +295,6 @@ def composite_schur(c, m, n):
     return shift_route
 
 
-def super_schur(lam, m, n):
-    """Supersymmetric S-function s_lam(x/y) via the super h-determinant."""
-    size = lam.length
-    mat = [[_super_h(m, n, lam.part(i) - i + j)
-            for j in range(1, size + 1)] for i in range(1, size + 1)]
-    return poly_det(mat, m, n)
-
-
 def composite_super_schur(c, m, n):
     """Composite S-function s_{nu-bar;mu}(x/y) via the block determinant."""
     mat = composite_block_matrix(
@@ -326,22 +325,8 @@ def isolate_last_y(c, n):
 def _vertical_strip_subs(lam):
     """All partitions obtained by removing a vertical strip (0/1 per part)."""
     out = []
-    parts = lam.parts
-    k = len(parts)
-
-    def rec(i, acc):
-        if i == k:
-            out.append(Partition(tuple(acc)))
-            return
-        for d in (0, 1):
-            v = parts[i] - d
-            if v < 0:
-                continue
-            if acc and v > acc[-1]:
-                continue
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
+    for strip in product((0, 1), repeat=lam.length):
+        sub = tuple(a - d for a, d in zip(lam.parts, strip))
+        if all(a >= b for a, b in zip(sub, sub[1:])):
+            out.append(Partition(sub))
     return out

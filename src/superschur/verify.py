@@ -56,15 +56,13 @@ def _dominant_tuples(length, bound):
     return out
 
 
-def _partitions(max_len, max_part):
-    out = [Partition()]
-    def rec(prefix, cap):
-        for p in range(min(cap, max_part), 0, -1):
-            tup = prefix + (p,)
-            out.append(Partition(tup))
-            if len(tup) < max_len:
-                rec(tup, p)
-    rec((), max_part)
+def _partitions(max_len, max_part, prefix=()):
+    """Partitions with at most max_len parts, each at most max_part, that
+    extend prefix; depth first, each before its extensions."""
+    out = [Partition(prefix)]
+    if len(prefix) < max_len:
+        for p in range(prefix[-1] if prefix else max_part, 0, -1):
+            out += _partitions(max_len, max_part, prefix + (p,))
     return out
 
 

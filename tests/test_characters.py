@@ -6,17 +6,15 @@ arithmetic; it pins the permutation set, the cycle weights, and the
 signs of the formula all at once.
 """
 
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superschur.characters import (CapExceeded, ConeElement,
-                                   _alternant_quotient, c_related,
-                                   cone_offsets, dot_action, is_lexical,
-                                   lemma_rho_identities, lexical_raise,
+from superschur.characters import (CapExceeded, _alternant_quotient,
+                                   c_related, cone_offsets, dot_action,
+                                   lemma_rho_identities,
                                    lexical_raise_weight, reduction_char,
                                    s_lambda_set, strongly_c_related,
                                    su_zhang_char,
@@ -61,9 +59,9 @@ def worked_r2_oracle():
     alt2 = (mono(m, n, (0, 0, -3), (0, 0)) * q).alternating_sum(blocks)
     numer = 2 * alt1 - alt2
     denom = [x[0] - x[1], x[0] - x[2], x[1] - x[2], y[0] - y[1]]
-    halved = numer.exact_divide(denom) * Fraction(1, 2)
-    assert halved.is_integral()
-    return halved
+    quotient = numer.exact_divide(denom)
+    assert all(c % 2 == 0 for c in quotient.terms.values())
+    return LaurentPoly(m, n, {e: c // 2 for e, c in quotient.terms.items()})
 
 
 def test_worked_r2_character_matches_oracle():
@@ -224,9 +222,11 @@ def test_dot_action_identity_fixes_weight():
 def test_lexical_raise_produces_lexical_weight():
     w = Weight(3, 2, (1, 0, -1), (-1, -2))
     data = atypical_roots(w)
-    v = ConeElement(w, (2, 0)).value
+    # w - 2 gamma_1, with gamma_1 the first atypical root (2, 1)
+    v = Weight(3, 2, (1, -2, -1), (1, -2))
     raised = lexical_raise_weight(v, data)
-    assert is_lexical(raised, data)
+    a = [raised.mu[ns - 1] - ns for _, ns in data.roots]
+    assert all(a[s] >= a[s + 1] for s in range(len(a) - 1))
     # raising is idempotent
     assert lexical_raise_weight(raised, data) == raised
 
@@ -234,20 +234,12 @@ def test_lexical_raise_produces_lexical_weight():
 def test_cone_offsets_roundtrip_and_rejection():
     w = Weight(3, 2, (1, 0, -1), (-1, -2))
     data = atypical_roots(w)
-    elem = ConeElement(w, (1, 2))
-    assert cone_offsets(w, elem.value, data) == (1, 2)
+    # w - gamma_1 - 2 gamma_2, with atypical roots (2, 1) and (1, 2)
+    v = Weight(3, 2, (-1, -1, -1), (0, 0))
+    assert cone_offsets(w, v, data) == (1, 2)
     outside = Weight(3, 2, (2, 0, -1), (-1, -2))
     with pytest.raises(ValueError):
         cone_offsets(w, outside, data)
-
-
-def test_lexical_raise_cone_element():
-    w = Weight(3, 2, (1, 0, -1), (-1, -2))
-    elem = ConeElement(w, (0, 1))
-    raised = lexical_raise(elem)
-    assert raised.base == w
-    assert raised.level >= 0
-    assert is_lexical(raised.value, atypical_roots(w))
 
 
 # -- rho bookkeeping ------------------------------------------------------------

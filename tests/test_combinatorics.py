@@ -1,6 +1,6 @@
-"""Partitions, composite partitions, cycle types, and alphabet splits."""
+"""Partitions, composite partitions and cycle types."""
 
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from superschur.combinatorics import (CompositePartition,
                                       CycleTypePermutation, Partition,
-                                      enumerate_cycle_types,
-                                      enumerate_splits, split_pairing_sign)
+                                      enumerate_cycle_types)
 
 
 @st.composite
@@ -132,25 +131,3 @@ def test_cycle_weights_sum_to_r_factorial_times_harmonic_pattern():
 def test_cycle_length_is_r_minus_block_count():
     for ct in enumerate_cycle_types(4):
         assert ct.length == 4 - len(ct.blocks)
-
-
-# -- splits ------------------------------------------------------------------
-
-
-def test_enumerate_splits_counts_and_shape():
-    splits = enumerate_splits(4, 2)
-    assert len(splits) == comb(4, 2)
-    for r, s in splits:
-        assert sorted(r + s) == [1, 2, 3, 4]
-        assert list(r) == sorted(r) and list(s) == sorted(s)
-
-
-def test_split_pairing_sign():
-    sign, concat = split_pairing_sign((1, 2), (3,))
-    assert sign == 1 and concat == (0, 1, 2)
-    sign, _ = split_pairing_sign((2, 3), (1,))
-    assert sign == 1  # (2,3,1) is an even permutation
-    sign, _ = split_pairing_sign((2,), (1, 3))
-    assert sign == -1
-    with pytest.raises(ValueError):
-        split_pairing_sign((1, 2), (2,))

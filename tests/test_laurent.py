@@ -54,12 +54,6 @@ def test_zero_coefficients_are_dropped():
     assert p.terms == {(0, 2): 3}
 
 
-def test_integral_fractions_normalize_to_int():
-    p = LaurentPoly(1, 0, {(2,): Fraction(4, 2)})
-    assert p.terms == {(2,): 2}
-    assert all(isinstance(c, int) for c in p.terms.values())
-
-
 def test_arity_mismatch_raises():
     with pytest.raises(ArityMismatchError):
         LaurentPoly(2, 1, {(2, 0): 1})
@@ -129,6 +123,11 @@ def test_scalar_arithmetic():
     assert (p + 1) - 1 == p
     assert 3 * p == p + p + p
     assert (2 - p) == -(p - 2)
+    # coefficients are ints: other scalars are not LaurentPoly operands
+    for other in (Fraction(1, 2), 0.5):
+        for op in (lambda: p + other, lambda: other - p, lambda: other * p):
+            with pytest.raises(TypeError):
+                op()
 
 
 # -- exact division -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Symmetric-function generators, determinants, and split identities."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -14,7 +15,7 @@ from superschur.laurent import (ArityMismatchError, LaurentPoly,
                                 NonzeroRemainder, perm_sign)
 from superschur.symfunc import (_dual_super_h, _e_y, _h_x, _super_h,
                                 composite_schur, composite_super_schur,
-                                isolate_last_y, poly_det, schur, super_schur)
+                                isolate_last_y, poly_det, schur)
 from superschur.verify import split_classical_factors, split_super_factors
 
 
@@ -130,7 +131,22 @@ def test_poly_det_rejects_non_invariant_entries():
         with pytest.raises(ValueError, match="invariant"):
             poly_det([[sym, bad], [sym, sym]], 2, 1)
     with pytest.raises(ValueError, match="int coefficients"):
-        poly_det([[Fraction(1, 2) * sym]], 2, 1)
+        poly_det([[LaurentPoly(2, 1, {e: Fraction(1, 2) for e in sym.terms})]],
+                 2, 1)
+
+
+def test_schur_and_poly_det_leave_no_cyclic_garbage():
+    # garbage in a reference cycle lives until a full collection, so a
+    # determinant's memo must be freed when poly_det returns
+    mat = [[_h_x(2, 1, 1), _h_x(2, 1, 2)], [_h_x(2, 1, 0), _h_x(2, 1, 1)]]
+    gc.collect()
+    gc.disable()
+    try:
+        schur(Partition((2, 1)), 3, 0)
+        poly_det(mat, 2, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_poly_det_empty_and_identity():
@@ -209,11 +225,6 @@ def test_composite_schur_route_disagreement_raises(monkeypatch):
 # -- supersymmetric S-functions -----------------------------------------------
 
 
-def test_super_schur_row_is_super_h():
-    for r in range(1, 4):
-        assert super_schur(Partition((r,)), 2, 1) == _super_h(2, 1, r)
-
-
 def test_composite_super_schur_single_dual_entry():
     c = CompositePartition(Partition((1,)), Partition())
     x1, y1 = LaurentPoly.x(1, 1, 1), LaurentPoly.y(1, 1, 1)
@@ -271,6 +282,54 @@ def test_split_assemble_rejects_wrong_arity():
         _split_assemble(3, 1, 1, 0, one_1, LaurentPoly.one(2, 1))
 
 
+def test_split_assemble_rejects_non_symmetric_factor():
+    # a left factor on (2|0) that is not symmetric in x' leaves a split
+    # numerator that is not antisymmetric: x_1 (x_1 - x_2) has a term
+    # with a repeated x' exponent, and x_1^2 (x_1 - x_2) has block-sorted
+    # terms whose swapped partners are missing
+    x1, right = LaurentPoly.x(2, 0, 1), LaurentPoly.one(1, 0)
+    for left in (x1, x1 * x1):
+        with pytest.raises(NonzeroRemainder):
+            _split_assemble(3, 0, 2, 0, left, right)
+
+
+def divided_split_sum(m, n, p, power, left, right):
+    """The split sum of _split_assemble, summed over every p-subset and
+    divided exactly by the full x-Vandermonde."""
+    y_slots = tuple(range(1, n + 1))
+    vandermonde = LaurentPoly.one(m, n)
+    for a, b in combinations(range(1, m + 1), 2):
+        vandermonde = vandermonde * (LaurentPoly.x(m, n, a)
+                                     - LaurentPoly.x(m, n, b))
+    total = LaurentPoly.zero(m, n)
+    for head in combinations(range(1, m + 1), p):
+        tail = tuple(i for i in range(1, m + 1) if i not in head)
+        # V(x) is this sign times the block Vandermondes times the
+        # cross factors, so the piece over V is the piece over the
+        # cross factors prod (x_i - x_j), i in head, j in tail
+        piece = LaurentPoly.constant(
+            m, n, perm_sign(tuple(i - 1 for i in head + tail)))
+        for a, b in combinations(head, 2):
+            piece = piece * (LaurentPoly.x(m, n, a) - LaurentPoly.x(m, n, b))
+        for a, b in combinations(tail, 2):
+            piece = piece * (LaurentPoly.x(m, n, a) - LaurentPoly.x(m, n, b))
+        for i in head:
+            piece = piece * LaurentPoly.x(m, n, i) ** power
+        total = total + (piece
+                         * left.embed(m, n, x_slots=head, y_slots=y_slots)
+                         * right.embed(m, n, x_slots=tail, y_slots=y_slots))
+    return total.exact_divide(vandermonde)
+
+
+@pytest.mark.parametrize("m,n,p,power", [
+    (2, 0, 1, 0), (3, 0, 1, 2), (3, 1, 2, 1), (4, 1, 2, 2), (4, 2, 1, -1)])
+def test_split_assemble_matches_exact_division(m, n, p, power):
+    left = _super_h(p, n, 2) * _dual_super_h(p, n, 1)
+    right = _super_h(m - p, n, 1) + _super_h(m - p, n, 3)
+    assert (_split_assemble(m, n, p, power, left, right)
+            == divided_split_sum(m, n, p, power, left, right))
+
+
 def test_isolate_last_y_reconstruction():
     m, n = 2, 2
     c = CompositePartition(Partition((1,)), Partition((1,)))
@@ -284,7 +343,7 @@ def test_isolate_last_y_reconstruction():
 
 
 def test_division_catches_non_identities():
-    # the split machinery's final exact division fails loudly on junk
+    # the exact division that tests use as a reference fails loudly on junk
     x1, x2 = LaurentPoly.x(2, 0, 1), LaurentPoly.x(2, 0, 2)
     with pytest.raises(NonzeroRemainder):
         (x1 + 1).exact_divide(x1 - x2)
