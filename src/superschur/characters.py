@@ -16,7 +16,7 @@ from itertools import product
 from math import factorial
 
 from .combinatorics import enumerate_cycle_types
-from .laurent import LaurentPoly, NonzeroRemainder, _sort_desc_sign
+from .laurent import LaurentPoly, NonzeroRemainder, sort_desc_sign
 from .symfunc import x_vandermonde_polys
 from .weights import Weight, atypical_roots, decompose, rho0_doubled
 
@@ -294,10 +294,10 @@ def su_zhang_char(w, cap=None):
             base = tuple(a + b for a, b in zip(v.doubled(), rho0d))
             for pe, pc in P.terms.items():
                 e = tuple(a + b for a, b in zip(base, pe))
-                sx, xs = _sort_desc_sign(e[:m])
+                sx, xs = sort_desc_sign(e[:m])
                 if sx == 0:
                     continue
-                sy, ys = _sort_desc_sign(e[m:])
+                sy, ys = sort_desc_sign(e[m:])
                 if sy == 0:
                     continue
                 key = tuple(xs) + tuple(ys)
@@ -415,8 +415,8 @@ def _split_assemble(m, n, p, power, left_base, right_base):
     classes = {}
     block_sorted = 0
     for e, c in terms.items():
-        s1, xs1 = _sort_desc_sign(e[:p])
-        s2, xs2 = _sort_desc_sign(e[p:m])
+        s1, xs1 = sort_desc_sign(e[:p])
+        s2, xs2 = sort_desc_sign(e[p:m])
         if not (s1 and s2
                 and terms.get(tuple(xs1 + xs2) + e[m:]) == s1 * s2 * c):
             raise NonzeroRemainder(
@@ -424,7 +424,7 @@ def _split_assemble(m, n, p, power, left_base, right_base):
         if tuple(xs1 + xs2) != e[:m]:
             continue
         block_sorted += 1
-        sign, xs = _sort_desc_sign(e[:m])
+        sign, xs = sort_desc_sign(e[:m])
         if sign:
             key = (tuple(v - (m - 1) for v in xs), e[m:])
             classes[key] = classes.get(key, 0) + sign * c

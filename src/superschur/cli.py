@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .combinatorics import CompositePartition
@@ -38,13 +37,6 @@ def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _effective_cap(args):
-    env = os.environ.get("SUPERSCHUR_CAP")
-    if env is not None:
-        return int(env)
-    return args.cap
-
-
 def _parse_weight(args):
     w = Weight.parse(args.m, args.n, args.weight)
     return w.require_dominant()
@@ -64,12 +56,11 @@ def _matrix_payload(w):
 
 def cmd_char(args):
     w = _parse_weight(args)
-    cap = _effective_cap(args)
     if args.method == "all":
         routes = {}
         for name in ROUTES:
             try:
-                routes[name] = character(w, name, cap)
+                routes[name] = character(w, name, args.cap)
             except ValueError:
                 routes[name] = None
         computed = [p for p in routes.values() if p is not None]
@@ -91,7 +82,7 @@ def cmd_char(args):
             print(f"agree: {'yes' if agree else 'NO'}")
         return 0 if agree else 2
 
-    poly = character(w, args.method, cap)
+    poly = character(w, args.method, args.cap)
     if args.emit_matrix:
         labels, defs = _matrix_payload(w)
         if args.format == "json":
@@ -125,7 +116,7 @@ def cmd_char(args):
 
 def cmd_dim(args):
     w = _parse_weight(args)
-    print(dimension(w, args.method, _effective_cap(args)))
+    print(dimension(w, args.method, args.cap))
     return 0
 
 
@@ -160,7 +151,7 @@ def _add_weight_flags(sub):
     sub.add_argument("--weight", required=True,
                      help="'l1,...,lm;u1,...,un', e.g. '3,2,-1;-1,-1'")
     sub.add_argument("--cap", type=int, default=None,
-                     help="guard on m!*n! (env SUPERSCHUR_CAP overrides)")
+                     help="guard on m!*n!")
 
 
 def build_parser():

@@ -11,7 +11,8 @@ from __future__ import annotations
 from .characters import (_check_cap, reduction_char, su_zhang_char,
                          typical_constant_delta_char)
 from .laurent import LaurentPoly
-from .symfunc import _dual_super_h, _super_h, poly_det
+from .symfunc import (_dual_super_h, _super_h, composite_block_matrix,
+                      poly_det)
 from .weights import (has_constant_mu, normalize_to_special,
                       special_class, special_violation)
 
@@ -26,29 +27,14 @@ def _require_jt_input(sc):
 def jt_entry_indices(sc):
     """The m x m matrix of ("h" | "hbar", degree) labels.
 
-    The dual block occupies the first k rows and columns; its row index
-    s runs bottom-to-top and its column index t right-to-left, so row u
-    and column v hold (s, t) = (k-u+1, k-v+1).
+    It is the block matrix of the composite partition with dual parts
+    n - alpha_{m-t+1} for t = 1..k and direct parts alpha_1..alpha_{m-k}.
     """
     w, k = _require_jt_input(sc)
-    m, n = w.m, w.n
     alpha = w.lam
-    size = m
-    mat = [[None] * size for _ in range(size)]
-    for u in range(1, k + 1):
-        s = k - u + 1
-        for v in range(1, k + 1):
-            t = k - v + 1
-            mat[u - 1][v - 1] = ("hbar", n - alpha[m - t] + s - t)
-        for j in range(1, m - k + 1):
-            mat[u - 1][k + j - 1] = ("h", alpha[j - 1] - s - j + 1)
-    for i in range(1, m - k + 1):
-        for v in range(1, k + 1):
-            t = k - v + 1
-            mat[k + i - 1][v - 1] = ("hbar", n - alpha[m - t] - i - t + 1)
-        for j in range(1, m - k + 1):
-            mat[k + i - 1][k + j - 1] = ("h", alpha[j - 1] + i - j)
-    return mat
+    return composite_block_matrix(
+        [w.n - alpha[w.m - t] for t in range(1, k + 1)], alpha[:w.m - k],
+        lambda r: ("h", r), lambda r: ("hbar", r))
 
 
 def jt_matrix(sc):

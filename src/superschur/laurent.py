@@ -7,6 +7,10 @@ Coefficients are ints; zero coefficients are never stored, so equality
 is dict equality.  Only `evaluate` leaves the integers, for rational
 evaluation points.  No route divides: `exact_divide` is the reference
 that the tests check quotients against.
+
+Products work on exponent vectors packed into ints by `ExponentCodec`
+and summed by `add_products`, both here and in the determinant of
+`symfunc.poly_det`; `terms` itself stays keyed by tuples.
 """
 
 from __future__ import annotations
@@ -45,36 +49,67 @@ def perm_sign(perm):
     return -1 if inv % 2 else 1
 
 
-# Packed-integer encoding of exponent vectors used by multiplication
-# and determinants: each entry goes into a fixed-width field with a
-# bias so fields stay nonnegative, making the product of two monomials
-# a single integer addition.  A sum of f encodings carries an f-fold
-# bias, which _unpack removes.  The field width is chosen per call
-# from the actual exponent bound so keys usually fit one machine word.
+class ExponentCodec:
+    """Packs doubled exponent vectors into ints, so that the product of
+    two monomials is one integer addition.
+
+    Each entry goes, plus a bias that keeps it nonnegative, into a field
+    of whole bytes (as many as the bound needs, x block first), so a key's
+    fields are slices of its big-endian bytes.  A sum of `summands` keys
+    of vectors with entries of absolute value at most `bound` still fits
+    its fields and carries a `summands`-fold bias, which `unpack` removes.
+    """
+
+    __slots__ = ("width", "shift", "bias", "key_bytes",
+                 "x_fields", "y_fields")
+
+    def __init__(self, m, n, bound, summands):
+        self.width = m + n
+        self.bias = bound + 1
+        nbytes = -(-(2 * summands * self.bias).bit_length() // 8)
+        self.shift = 8 * nbytes
+        self.key_bytes = nbytes * self.width
+        fields = [slice(i, i + nbytes)
+                  for i in range(0, self.key_bytes, nbytes)]
+        self.x_fields, self.y_fields = fields[:m], fields[m:]
+
+    def pack(self, exp2):
+        shift, bias = self.shift, self.bias
+        k = 0
+        for v in exp2:
+            k = (k << shift) | (v + bias)
+        return k
+
+    def unpack(self, k, summands=1):
+        shift, bias = self.shift, summands * self.bias
+        mask = (1 << shift) - 1
+        out = [0] * self.width
+        for i in range(self.width - 1, -1, -1):
+            out[i] = (k & mask) - bias
+            k >>= shift
+        return tuple(out)
+
+    def sort_blocks(self, k):
+        """Key of k's exponents sorted ascending within the x and the y
+        block; the bias of k, uniform over the fields, is kept."""
+        field = k.to_bytes(self.key_bytes, "big").__getitem__
+        return int.from_bytes(b"".join(sorted(map(field, self.x_fields))
+                                       + sorted(map(field, self.y_fields))),
+                              "big")
 
 
-def pack_layout(bound, factors):
-    """Field (shift, bias) wide enough for sums of `factors` encodings
-    of vectors whose entries have absolute value at most `bound`."""
-    bias = bound + 1
-    shift = (2 * factors * bias).bit_length()
-    return shift, bias
+def add_products(acc, outer, inner, sign=1):
+    """Add sign * outer * inner into acc.
 
-
-def _pack(exp2, shift, bias):
-    k = 0
-    for v in exp2:
-        k = (k << shift) | (v + bias)
-    return k
-
-
-def _unpack(k, width, shift, total_bias):
-    mask = (1 << shift) - 1
-    out = [0] * width
-    for i in range(width - 1, -1, -1):
-        out[i] = (k & mask) - total_bias
-        k >>= shift
-    return tuple(out)
+    All three map packed keys of one codec to coefficients.  Sums that
+    cancel stay in acc as zeros, for the caller to drop.
+    """
+    get = acc.get
+    for ko, co in outer.items():
+        co *= sign
+        for ki, ci in inner.items():
+            k = ko + ki
+            acc[k] = get(k, 0) + co * ci
 
 
 class LaurentPoly:
@@ -221,26 +256,14 @@ class LaurentPoly:
             a, b = b, a
         if not a:
             return LaurentPoly.zero(self.m, self.n)
-        width = self.m + self.n
-        bound = max((max(map(abs, e), default=0) for e in a), default=0) \
-            + max((max(map(abs, e), default=0) for e in b), default=0)
+        bound = max(max(map(abs, e), default=0) for t in (a, b) for e in t)
+        codec = ExponentCodec(self.m, self.n, bound, 2)
+        pack, unpack = codec.pack, codec.unpack
+        acc = {}
+        add_products(acc, {pack(e): c for e, c in a.items()},
+                     {pack(e): c for e, c in b.items()})
         out = LaurentPoly(self.m, self.n)
-        # pack each exponent vector into one integer with biased
-        # fixed-width fields so the inner loop is a single addition
-        shift, bias = pack_layout(bound, 2)
-        packed = {}
-        enc_b = [(_pack(eb, shift, bias), cb) for eb, cb in b.items()]
-        for ea, ca in a.items():
-            ka = _pack(ea, shift, bias)
-            for kb, cb in enc_b:
-                k = ka + kb
-                s = packed.get(k, 0) + ca * cb
-                if s:
-                    packed[k] = s
-                else:
-                    del packed[k]
-        out.terms = {_unpack(k, width, shift, 2 * bias): c
-                     for k, c in packed.items()}
+        out.terms = {unpack(k, 2): c for k, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -384,7 +407,7 @@ class LaurentPoly:
             dead = False
             for pos in positions:
                 vals = [e[p] for p in pos]
-                s, svals = _sort_desc_sign(vals)
+                s, svals = sort_desc_sign(vals)
                 if s == 0:
                     dead = True
                     break
@@ -432,6 +455,9 @@ class LaurentPoly:
             raise ArityMismatchError("slot count mismatch")
         if len(set(x_slots)) != self.m or len(set(y_slots)) != self.n:
             raise ValueError("target slots must be distinct")
+        if not (all(1 <= s <= m for s in x_slots)
+                and all(1 <= s <= n for s in y_slots)):
+            raise ValueError(f"target slots must lie in 1..{m} and 1..{n}")
         terms = {}
         for e, c in self.terms.items():
             ne = [0] * (m + n)
@@ -532,7 +558,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.m}, {self.n}, {self.terms!r})"
 
 
-def _sort_desc_sign(vals):
+def sort_desc_sign(vals):
     """Sort descending, tracking permutation sign; (0, None) on duplicates."""
     vals = list(vals)
     sign = 1

@@ -14,8 +14,8 @@ from itertools import (combinations, combinations_with_replacement,
 from math import factorial
 
 from .combinatorics import CompositePartition, Partition
-from .laurent import (LaurentPoly, NonzeroRemainder, _pack, _unpack,
-                      pack_layout, perm_sign)
+from .laurent import (ExponentCodec, LaurentPoly, NonzeroRemainder,
+                      add_products, perm_sign)
 
 
 def x_vandermonde_polys(m, n, slots):
@@ -78,18 +78,12 @@ def _dual_super_h(m, n, r):
     return _super_h(m, n, r).invert_variables()
 
 
-@lru_cache(maxsize=None)
-def _dual_h_x(m, n, r):
-    return _h_x(m, n, r).invert_variables()
-
-
 def poly_det(mat, m, n):
     """Determinant of a square matrix of S_m x S_n-invariant LaurentPolys.
 
-    Cofactor expansion memoized by column set, sparsest rows first.
-    Exponents are packed-integer keys (one biased fixed-width field per
-    variable) so that a monomial product is a single integer addition;
-    a minor spanning d rows carries a uniform d-fold bias.
+    Cofactor expansion memoized by column set, sparsest rows first, on
+    exponents packed by one ExponentCodec; a minor spanning d rows is a
+    sum of d keys and carries a uniform d-fold bias.
 
     Every entry is invariant under permuting x_1..x_m and y_1..y_n, and
     so is every minor.  A minor is therefore stored only at its
@@ -111,38 +105,25 @@ def poly_det(mat, m, n):
     size = len(mat)
     if size == 0:
         return LaurentPoly.one(m, n)
-    width = m + n
-    bound = 0
-    for row in mat:
-        for entry in row:
-            for e in entry.terms:
-                for v in e:
-                    if v > bound:
-                        bound = v
-                    elif -v > bound:
-                        bound = -v
-    shift, bias = pack_layout(bound, size)
-    # whole bytes per field, so a key's fields are slices of its bytes
-    nbytes = -(-shift // 8)
-    shift = 8 * nbytes
-    klen = width * nbytes
-    fields = [slice(i, i + nbytes) for i in range(0, klen, nbytes)]
-    x_fields, y_fields = fields[:m], fields[m:]
+    bound = max((max(map(abs, e), default=0)
+                 for row in mat for entry in row for e in entry.terms),
+                default=0)
+    codec = ExponentCodec(m, n, bound, size)
+    pack, sort_blocks = codec.pack, codec.sort_blocks
     m_fact, n_fact = factorial(m), factorial(n)
     rep_of = {}
     orbit_size = {}
 
     def fold(k):
         """Block-sorted key of k's orbit; its size goes in orbit_size."""
-        field = k.to_bytes(klen, "big").__getitem__
-        xs = sorted(map(field, x_fields))
-        ys = sorted(map(field, y_fields))
-        r = int.from_bytes(b"".join(xs + ys), "big")
+        r = sort_blocks(k)
         if r not in orbit_size:
+            # a uniform bias leaves equal exponents equal
+            e = codec.unpack(r)
             size_r = m_fact * n_fact
-            for v in Counter(xs).values():
+            for v in Counter(e[:m]).values():
                 size_r //= factorial(v)
-            for v in Counter(ys).values():
+            for v in Counter(e[m:]).values():
                 size_r //= factorial(v)
             orbit_size[r] = size_r
         rep_of[k] = r
@@ -158,7 +139,7 @@ def poly_det(mat, m, n):
                 if not isinstance(c, int):
                     raise ValueError(
                         f"poly_det needs int coefficients, got {c!r}")
-                full[_pack(e, shift, bias)] = c
+                full[pack(e)] = c
             # invariant: each orbit is present whole, with one coefficient
             seen = Counter(map(fold, full))
             if (any(full.get(rep_of[k]) != c for k, c in full.items())
@@ -176,7 +157,7 @@ def poly_det(mat, m, n):
     terms = {}
     for r, s in det.items():
         c = s // orbit_size[r] * row_sign
-        e = _unpack(r, width, shift, size * bias)
+        e = codec.unpack(r, size)
         y_perms = set(permutations(e[m:]))
         for ex in set(permutations(e[:m])):
             for ey in y_perms:
@@ -199,19 +180,12 @@ def _minor(pmat, row, cols, memo, fold, rep_of, orbit_size):
     if cached is not None:
         return cached
     acc = {}
-    get = acc.get
     for idx, c in enumerate(cols):
         entry = pmat[row][c]
-        if not entry:
-            continue
-        sub = _minor(pmat, row + 1, cols[:idx] + cols[idx + 1:], memo,
-                     fold, rep_of, orbit_size)
-        sign = 1 if idx % 2 == 0 else -1
-        for kb, cb in sub.items():
-            cb *= sign
-            for ka, ca in entry.items():
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
+        if entry:
+            sub = _minor(pmat, row + 1, cols[:idx] + cols[idx + 1:], memo,
+                         fold, rep_of, orbit_size)
+            add_products(acc, sub, entry, 1 if idx % 2 == 0 else -1)
     sums = {}
     for k, c in acc.items():
         if c:
@@ -234,28 +208,15 @@ def _minor(pmat, row, cols, memo, fold, rep_of, orbit_size):
 def composite_block_matrix(nu, mu, h_fn, dual_h_fn):
     """The block Jacobi-Trudi matrix of a composite partition.
 
-    Size l(nu) + l(mu).  The dual block occupies the first l(nu) rows
-    and columns with its row index running bottom-to-top and its column
-    index right-to-left; the direct block fills the rest top-to-bottom,
-    left-to-right.
+    nu and mu are sequences of parts, and the size is len(nu) + len(mu).
+    Row i = 1 - len(nu), ..., len(mu) holds the dual block's entries
+    dual_h_fn(nu_t - i - t + 1) for t = len(nu), ..., 1, then the direct
+    block's h_fn(mu_j + i - j) for j = 1, ..., len(mu).
     """
-    q, p = nu.length, mu.length
-    size = q + p
-    mat = [[None] * size for _ in range(size)]
-    for u in range(1, q + 1):
-        s = q - u + 1
-        for v in range(1, q + 1):
-            t = q - v + 1
-            mat[u - 1][v - 1] = dual_h_fn(nu.part(t) + s - t)
-        for j in range(1, p + 1):
-            mat[u - 1][q + j - 1] = h_fn(mu.part(j) - s - j + 1)
-    for i in range(1, p + 1):
-        for v in range(1, q + 1):
-            t = q - v + 1
-            mat[q + i - 1][v - 1] = dual_h_fn(nu.part(t) - i - t + 1)
-        for j in range(1, p + 1):
-            mat[q + i - 1][q + j - 1] = h_fn(mu.part(j) + i - j)
-    return mat
+    q = len(nu)
+    return [[dual_h_fn(nu[t - 1] - i - t + 1) for t in range(q, 0, -1)]
+            + [h_fn(part + i - j) for j, part in enumerate(mu, 1)]
+            for i in range(1 - q, len(mu) + 1)]
 
 
 def schur(lam, m, n):
@@ -288,7 +249,8 @@ def composite_schur(c, m, n):
         shifter = LaurentPoly.monomial(m, n, tuple([-2 * nu1] * m + [0] * n))
         shift_route = shifter * schur(Partition(lam), m, n)
     mat = composite_block_matrix(
-        nu, mu, lambda r: _h_x(m, n, r), lambda r: _dual_h_x(m, n, r))
+        nu.parts, mu.parts, lambda r: _h_x(m, n, r),
+        lambda r: _h_x(m, n, r).invert_variables())
     if shift_route != poly_det(mat, m, n):
         raise ArithmeticError(
             f"composite Schur routes disagree for {c} on m={m}")
@@ -298,7 +260,7 @@ def composite_schur(c, m, n):
 def composite_super_schur(c, m, n):
     """Composite S-function s_{nu-bar;mu}(x/y) via the block determinant."""
     mat = composite_block_matrix(
-        c.nu, c.mu,
+        c.nu.parts, c.mu.parts,
         lambda r: _super_h(m, n, r),
         lambda r: _dual_super_h(m, n, r))
     return poly_det(mat, m, n)

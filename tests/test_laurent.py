@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superschur.laurent import (ArityMismatchError, LaurentPoly,
-                                NonzeroRemainder, order_key, pack_layout,
-                                perm_sign, _pack, _unpack)
+from superschur.laurent import (ArityMismatchError, ExponentCodec,
+                                LaurentPoly, NonzeroRemainder, add_products,
+                                order_key, perm_sign)
 
 
 @st.composite
@@ -74,13 +74,39 @@ def test_perm_sign():
 
 
 def test_pack_unpack_roundtrip():
-    shift, bias = pack_layout(5, 2)
+    codec = ExponentCodec(2, 1, 5, 2)
     for e in [(0, 0, 0), (5, -5, 3), (-5, -5, -5)]:
-        assert _unpack(_pack(e, shift, bias), 3, shift, bias) == e
+        assert codec.unpack(codec.pack(e)) == e
     # a sum of two encodings carries a double bias
     a, b = (3, -2, 1), (-4, 5, 0)
-    k = _pack(a, shift, bias) + _pack(b, shift, bias)
-    assert _unpack(k, 3, shift, 2 * bias) == (-1, 3, 1)
+    k = codec.pack(a) + codec.pack(b)
+    assert codec.unpack(k, 2) == (-1, 3, 1)
+
+
+def test_codec_fields_grow_by_whole_bytes():
+    assert ExponentCodec(2, 1, 5, 2).shift == 8
+    assert ExponentCodec(2, 1, 60, 3).shift == 16
+    big = 2 * 10 ** 21
+    codec = ExponentCodec(1, 1, big, 2)
+    k = codec.pack((big, -big)) + codec.pack((-big, 2))
+    assert codec.unpack(k, 2) == (0, 2 - big)
+
+
+def test_sort_blocks_sorts_each_block_and_keeps_the_bias():
+    codec = ExponentCodec(3, 2, 300, 2)
+    k = codec.pack((4, -300, 2, 6, -6)) + codec.pack((0, 2, 0, 0, 0))
+    assert codec.unpack(codec.sort_blocks(k), 2) == (-298, 2, 4, -6, 6)
+
+
+def test_add_products_accumulates_signed_products():
+    codec = ExponentCodec(1, 0, 3, 2)
+    pack = codec.pack
+    # 4x^2 - (2x + x^-1)(x + 2x^3): the x^2 sum cancels and stays as 0
+    acc = {pack((1,)) + pack((1,)): 4}
+    add_products(acc, {pack((1,)): 2, pack((-1,)): 1},
+                 {pack((1,)): 1, pack((3,)): 2}, -1)
+    assert {codec.unpack(k, 2): c for k, c in acc.items()} == {
+        (2,): 0, (4,): -4, (0,): -1}
 
 
 # -- arithmetic against the evaluation homomorphism --------------------
@@ -201,6 +227,12 @@ def test_embed_places_variables():
     assert big == LaurentPoly.x(3, 2, 2) * LaurentPoly.y(3, 2, 2)
     with pytest.raises(ValueError):
         LaurentPoly.one(2, 0).embed(3, 0, x_slots=(1, 1))
+    x1 = LaurentPoly.x(1, 0, 1)
+    for m, n, slot in [(1, 1, 2), (2, 0, 0), (2, 0, 3)]:
+        with pytest.raises(ValueError, match="slots must lie"):
+            x1.embed(m, n, x_slots=(slot,))
+    with pytest.raises(ValueError, match="slots must lie"):
+        LaurentPoly.y(0, 1, 1).embed(1, 1, y_slots=(2,))
 
 
 def test_sum_of_coefficients_is_all_ones_evaluation():

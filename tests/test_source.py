@@ -38,3 +38,19 @@ def test_no_nested_function_refers_to_its_own_name():
                 if inner.name in names:
                     found.add(f"{path.name}:{inner.lineno} {inner.name}")
     assert sorted(found) == []
+
+
+def test_only_laurent_uses_its_private_names():
+    # the packed exponent form and the other private helpers of
+    # `laurent` stay behind its public names
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module in ("laurent", "superschur.laurent")
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []

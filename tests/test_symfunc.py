@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superschur import symfunc
@@ -116,8 +116,17 @@ def test_super_h_supersymmetry_cancellation():
 # -- determinants -----------------------------------------------------------
 
 
+def wide_exponent_case():
+    """A gl(2|1) matrix whose exponents need 2-byte packed fields."""
+    a = orbit_sum(2, 1, (60, -40, 2))
+    b = orbit_sum(2, 1, (-60, 0, -2)) + LaurentPoly.one(2, 1)
+    c = 3 * orbit_sum(2, 1, (2, 2, 58))
+    return 2, 1, [[a, b, c], [c, a, b], [b, c, a]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_matrix_strategy())
+@example(wide_exponent_case())
 def test_poly_det_matches_permutation_expansion(case):
     m, n, mat = case
     assert poly_det(mat, m, n) == brute_det(mat, m, n)
