@@ -1,8 +1,10 @@
 """Exact characters of irreducible gl(m|n) representations.
 
-Two independent routes - a block Jacobi-Trudi determinant in
-supersymmetric complete functions and an alternating sum over the Weyl
-group - computed with exact Laurent-polynomial arithmetic.
+Four routes, computed with exact Laurent-polynomial arithmetic: a block
+Jacobi-Trudi determinant in supersymmetric complete functions, an
+alternating sum over the Weyl group, a closed form for typical weights,
+and a reduction to smaller superalgebras.  They are not all
+independent: the reduction reuses the alternating sum for its head.
 """
 
 from .combinatorics import CompositePartition, Partition

@@ -27,40 +27,20 @@ class CapExceeded(RuntimeError):
     """The Weyl-group sum would exceed the configured size cap."""
 
 
-# -- closeness relations and the permutation set ---------------------------
-
-
-def c_related(w, s, t, data=None):
-    """Closeness of the s-th and t-th atypical roots (1-based, s <= t)."""
-    data = data or atypical_roots(w)
-    if not (1 <= s <= t <= data.degree):
-        raise IndexError("atypical root index out of range")
-    if s == t:
-        return True
-    (ms, ns), (mt, nt) = data.roots[s - 1], data.roots[t - 1]
-    return w.lam[mt - 1] - w.lam[ms - 1] < nt - ns
-
-
-def strongly_c_related(w, s, t, data=None):
-    """Chain closeness: every consecutive pair between s and t is close."""
-    data = data or atypical_roots(w)
-    if not (1 <= s <= t <= data.degree):
-        raise IndexError("atypical root index out of range")
-    return all(c_related(w, u, u + 1, data) for u in range(s, t))
+# -- the permutation set ---------------------------------------------------
 
 
 def s_lambda_set(w, data=None):
     """Permutations of the atypical slots entering the character sum.
 
     Only the identity is admitted: every pair of slots keeps its
-    relative order.  This is pinned by two independent oracles.  On
-    weights with a constant delta-part every pair of atypical slots is
-    chain-close, and the block-determinant route forces the
-    single-permutation sum; on the worked r=2 weight whose slots are
-    not even close, the explicit two-alternant expansion again matches
-    the single-permutation sum and rules out letting unrelated slots
-    reorder.  Reordering a close pair provably cancels the atypicality
-    correction (see the worked r=2 case in the tests).
+    relative order.  This is verified where the block-determinant
+    route applies: on weights with a constant delta-part, where every
+    pair of atypical slots is chain-close, the two routes agree.  It is
+    not verified when two atypical roots are not close, and there it
+    is wrong: psl(2|2) (1,0;0,-1) has dimension 14, but this set gives
+    15.  The worked r=2 check in the tests expands two alternants under
+    the same identity-only assumption, so it does not confirm it.
     """
     data = data or atypical_roots(w)
     return [tuple(range(data.degree))]

@@ -57,6 +57,8 @@ def _matrix_payload(w):
 def cmd_char(args):
     w = _parse_weight(args)
     if args.method == "all":
+        if args.emit_matrix:
+            raise ValueError("--emit-matrix needs one --method, not all")
         routes = {}
         for name in ROUTES:
             try:
@@ -82,9 +84,12 @@ def cmd_char(args):
             print(f"agree: {'yes' if agree else 'NO'}")
         return 0 if agree else 2
 
+    # the matrix needs a constant delta-part: refuse a weight without
+    # one before the character is computed
+    matrix = _matrix_payload(w) if args.emit_matrix else None
     poly = character(w, args.method, args.cap)
-    if args.emit_matrix:
-        labels, defs = _matrix_payload(w)
+    if matrix:
+        labels, defs = matrix
         if args.format == "json":
             payload = {
                 "weight": str(w),
@@ -142,6 +147,9 @@ def cmd_verify(args):
     reports = run_suite(args.suite, grid, args.seed)
     out = reports[0] if len(reports) == 1 else reports
     print(_canonical(out))
+    empty = [r["suite"] for r in reports if not r["cases"]]
+    if empty:
+        raise ValueError(f"no cases on this grid for {', '.join(empty)}")
     return 0 if all(not r["failures"] for r in reports) else 1
 
 

@@ -96,16 +96,3 @@ def dimension(w, method="jt", cap=None):
     """All-ones evaluation of the character: the module dimension."""
     return character(w, method, cap).sum_of_coefficients()
 
-
-def weyl_dimension(lam):
-    """Classical gl(m) Weyl dimension of a weakly decreasing tuple."""
-    m = len(lam)
-    num = den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"non-integral Weyl dimension for {lam}")
-    return q

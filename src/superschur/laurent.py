@@ -4,8 +4,7 @@ A polynomial lives in variables x_1..x_m, y_1..y_n.  Exponents may be
 half-integers (they arise from square roots of monomials), so every
 exponent vector is stored doubled: the tuple entry 2*e, always an int.
 Coefficients are ints; zero coefficients are never stored, so equality
-is dict equality.  Only `evaluate` leaves the integers, for rational
-evaluation points.  No route divides: `exact_divide` is the reference
+is dict equality.  No route divides: `exact_divide` is the reference
 that the tests check quotients against.
 
 Products work on exponent vectors packed into ints by `ExponentCodec`
@@ -16,9 +15,6 @@ and summed by `add_products`, both here and in the determinant of
 from __future__ import annotations
 
 import heapq
-import json
-from fractions import Fraction
-from itertools import permutations
 
 
 class ArityMismatchError(ValueError):
@@ -146,31 +142,10 @@ class LaurentPoly:
         return cls(m, n, {tuple(exp2): coeff})
 
     @classmethod
-    def x(cls, m, n, i):
-        """The variable x_i (1-based)."""
-        e = [0] * (m + n)
-        e[i - 1] = 2
-        return cls(m, n, {tuple(e): 1})
-
-    @classmethod
-    def y(cls, m, n, j):
-        """The variable y_j (1-based)."""
-        e = [0] * (m + n)
-        e[m + j - 1] = 2
-        return cls(m, n, {tuple(e): 1})
-
-    @classmethod
     def constant(cls, m, n, c):
         return cls(m, n, {(0,) * (m + n): c})
 
     # -- basic structure ---------------------------------------------
-
-    @property
-    def arity(self):
-        return (self.m, self.n)
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -190,9 +165,6 @@ class LaurentPoly:
         if (self.m, self.n) != (other.m, other.n):
             raise ArityMismatchError(
                 f"arity {(self.m, self.n)} vs {(other.m, other.n)}")
-
-    def coeff(self, exp2):
-        return self.terms.get(tuple(exp2), 0)
 
     def leading(self):
         """(exp2, coeff) of the leading term under the division order."""
@@ -268,28 +240,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            # over the integers only the monomials with coefficient
-            # +-1 are units, and each is its own coefficient's inverse
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
-            e, c = next(iter(self.terms.items()))
-            if c != 1 and c != -1:
-                raise ValueError(f"coefficient {c} is not a unit")
-            inv = LaurentPoly(self.m, self.n, {tuple(-v for v in e): c})
-            return inv ** (-k)
-        out = LaurentPoly.one(self.m, self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base_needed = k > 1
-            if base_needed:
-                base = base * base
-            k >>= 1
-        return out
-
     # -- exact division ------------------------------------------------
 
     def exact_divide(self, divisor, max_steps=None):
@@ -355,85 +305,7 @@ class LaurentPoly:
                     work.pop(ne, None)
         return LaurentPoly(self.m, self.n, quotient)
 
-    # -- symmetry actions ----------------------------------------------
-
-    def act_permutation(self, wx=None, wy=None):
-        """Permute variables: x_i -> x_{wx[i]} and y_j -> y_{wy[j]}.
-
-        wx and wy are one-line permutations with 0-based images; None
-        means identity on that block.
-        """
-        m, n = self.m, self.n
-        if wx is None:
-            wx = tuple(range(m))
-        if wy is None:
-            wy = tuple(range(n))
-        pos = [0] * (m + n)
-        for i in range(m):
-            pos[i] = wx[i]
-        for j in range(n):
-            pos[m + j] = m + wy[j]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * (m + n)
-            for src in range(m + n):
-                ne[pos[src]] = e[src]
-            terms[tuple(ne)] = c
-        out = LaurentPoly(m, n)
-        out.terms = terms
-        return out
-
-    def alternating_sum(self, blocks):
-        """Sum of sign(w) * w(self) over products of symmetric groups.
-
-        blocks is a sequence of ("x", indices) / ("y", indices) with
-        1-based indices; each block contributes one symmetric-group
-        factor permuting those variable slots.
-        """
-        positions = []
-        for kind, idx in blocks:
-            if kind == "x":
-                positions.append(tuple(i - 1 for i in idx))
-            elif kind == "y":
-                positions.append(tuple(self.m + j - 1 for j in idx))
-            else:
-                raise ValueError(f"unknown block kind {kind!r}")
-        # Canonicalize each term: sort the block entries descending.
-        # Terms with a repeated entry inside a block vanish.
-        canon = {}
-        for e, c in self.terms.items():
-            sign = 1
-            ce = list(e)
-            dead = False
-            for pos in positions:
-                vals = [e[p] for p in pos]
-                s, svals = sort_desc_sign(vals)
-                if s == 0:
-                    dead = True
-                    break
-                sign *= s
-                for p, v in zip(pos, svals):
-                    ce[p] = v
-            if dead:
-                continue
-            key = tuple(ce)
-            s = canon.get(key, 0) + sign * c
-            if s:
-                canon[key] = s
-            else:
-                del canon[key]
-        # Expand each canonical class over the full group.
-        terms = {}
-        for e, c in canon.items():
-            for ne, sign in _expand_class(e, positions):
-                s = terms.get(ne, 0) + sign * c
-                if s:
-                    terms[ne] = s
-                else:
-                    del terms[ne]
-        out = LaurentPoly(self.m, self.n)
-        out.terms = terms
-        return out
+    # -- substitutions -------------------------------------------------
 
     def invert_variables(self):
         """Substitute every variable by its inverse."""
@@ -470,28 +342,6 @@ class LaurentPoly:
         out.terms = terms
         return out
 
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, xs, ys):
-        """Value, as a Fraction, at nonzero rationals.
-
-        Requires integer exponents.
-        """
-        if len(xs) != self.m or len(ys) != self.n:
-            raise ArityMismatchError("wrong number of evaluation points")
-        vals = [Fraction(v) for v in xs] + [Fraction(v) for v in ys]
-        if any(v == 0 for v in vals):
-            raise ZeroDivisionError("evaluation point must be nonzero")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = Fraction(c)
-            for v, d in zip(vals, e):
-                if d % 2:
-                    raise ValueError("half-integer exponent cannot be evaluated")
-                prod *= v ** (d // 2)
-            total += prod
-        return total
-
     def sum_of_coefficients(self):
         return sum(self.terms.values())
 
@@ -508,21 +358,6 @@ class LaurentPoly:
             "terms": [{"exp2": list(e), "coeff": str(c)}
                       for e, c in self.sorted_terms()],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data):
-        m, n = data["arity"]
-        terms = {}
-        for t in data["terms"]:
-            terms[tuple(t["exp2"])] = int(t["coeff"])
-        return cls(m, n, terms)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
     def __str__(self):
         if not self.terms:
@@ -572,20 +407,3 @@ def sort_desc_sign(vals):
             return 0, None
     return sign, vals
 
-
-def _expand_class(e, positions):
-    """All signed rearrangements of e over per-block permutations."""
-    results = [(list(e), 1)]
-    for pos in positions:
-        vals = [e[p] for p in pos]
-        new_results = []
-        for perm in permutations(range(len(pos))):
-            s = perm_sign(perm)
-            pvals = [vals[perm[i]] for i in range(len(pos))]
-            for base, sign in results:
-                ne = list(base)
-                for p, v in zip(pos, pvals):
-                    ne[p] = v
-                new_results.append((ne, sign * s))
-        results = new_results
-    return [(tuple(ne), s) for ne, s in results]

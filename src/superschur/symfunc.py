@@ -1,5 +1,6 @@
 """Complete/elementary symmetric functions, their supersymmetric analogues,
-Schur and composite-Schur determinants, and last-y-variable isolation.
+Schur and composite S-function determinants, and last-y-variable
+isolation.
 
 All functions are exact LaurentPoly computations on explicit finite
 alphabets x_1..x_m, y_1..y_n.
@@ -225,36 +226,6 @@ def schur(lam, m, n):
     mat = [[_h_x(m, n, lam.part(i) - i + j)
             for j in range(1, size + 1)] for i in range(1, size + 1)]
     return poly_det(mat, m, n)
-
-
-def composite_schur(c, m, n):
-    """Composite Schur polynomial in x, by shift and by block determinant.
-
-    The shift route multiplies a plain Schur polynomial by
-    (prod x_i)^{-nu_1}; the block-determinant route uses h_r(x) and
-    h_r with inverted variables.  Both are computed, and ArithmeticError
-    is raised if they disagree.
-    """
-    if not c.is_standard(m):
-        raise ValueError(f"{c} is not standard for m={m}")
-    nu, mu = c.nu, c.mu
-    if nu.length == 0:
-        shift_route = schur(mu, m, n)
-    else:
-        nu1 = nu.parts[0]
-        p, q = mu.length, nu.length
-        lam = (tuple(mu.parts[i] + nu1 for i in range(p))
-               + (nu1,) * (m - p - q)
-               + tuple(nu1 - nu.parts[q - s] for s in range(1, q)))
-        shifter = LaurentPoly.monomial(m, n, tuple([-2 * nu1] * m + [0] * n))
-        shift_route = shifter * schur(Partition(lam), m, n)
-    mat = composite_block_matrix(
-        nu.parts, mu.parts, lambda r: _h_x(m, n, r),
-        lambda r: _h_x(m, n, r).invert_variables())
-    if shift_route != poly_det(mat, m, n):
-        raise ArithmeticError(
-            f"composite Schur routes disagree for {c} on m={m}")
-    return shift_route
 
 
 def composite_super_schur(c, m, n):

@@ -248,6 +248,13 @@ def brute_force_lexical_raise(v, data, slack=3):
 def suite_raise_oracle(grid=None, seed=None, count=500):
     """Greedy lexical raise against the brute-force cone maximum."""
     grid = grid or GridSpec(m_max=4, n_max=3, entry_max=4)
+    # the zero weight of gl(m|n) is atypical whenever m, n >= 1
+    for key, bound, least in (("m", grid.m_max, 1), ("n", grid.n_max, 1),
+                              ("entry", grid.entry_max, 0)):
+        if bound < least:
+            raise ValueError(
+                f"raise-oracle: the grid bound {key}<={bound} leaves no "
+                f"atypical weight (the bound must be at least {least})")
     rng = random.Random(7 if seed is None else seed)
     cases = 0
     failures = []

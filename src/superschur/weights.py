@@ -1,9 +1,10 @@
 """Integral dominant weights of gl(m|n) and their structure theory.
 
 A weight is written (lambda_1..lambda_m; mu_1..mu_n).  This module
-houses the rho-vectors, atypicality data, the special weight classes
-P_k, the bijection with composite partitions, sigma-shift
-normalization, and the head/tail decomposition of special weights.
+houses rho0 on the doubled lattice, atypicality data, the special
+weight classes P_k, the bijection with composite partitions,
+sigma-shift normalization, and the head/tail decomposition of special
+weights.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class Weight:
                 ",".join(str(a) for a in self.mu))
 
 
-def rho(m, n):
-    """rho = (m, ..., 2, 1; -1, -2, ..., -n)."""
-    return Weight(m, n, tuple(range(m, 0, -1)), tuple(range(-1, -n - 1, -1)))
-
-
 def rho0_doubled(m, n):
     """rho0 on the doubled lattice."""
     return (tuple(m - 1 - 2 * i for i in range(m)) +
@@ -80,8 +76,6 @@ class AtypicalData:
     """
 
     roots: tuple[tuple[int, int], ...]
-    aty_tuple: tuple[int, ...]
-    heights: tuple[int, ...]
 
     @property
     def degree(self):
@@ -97,10 +91,7 @@ def atypical_roots(w):
             if (w.lam[i - 1] + w.m + 1 - i) + (w.mu[j - 1] - j) == 0:
                 pairs.append((i, j))
     pairs.sort(key=lambda p: (p[1] - p[0], -p[0]))
-    aty = tuple(w.mu[j - 1] - j for _, j in pairs)
-    heights = tuple(w.lam[i - 1] - j + s
-                    for s, (i, j) in enumerate(pairs, start=1))
-    return AtypicalData(tuple(pairs), aty, heights)
+    return AtypicalData(tuple(pairs))
 
 
 @dataclass(frozen=True)

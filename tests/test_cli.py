@@ -46,6 +46,27 @@ def test_char_emit_matrix_golden(capsys):
     assert "entries:" in lines and "character:" in lines
 
 
+def test_emit_matrix_is_refused_before_any_character(capsys, monkeypatch):
+    # under --method all there is no one character for the matrix, and a
+    # weight without a constant delta-part has no matrix: both are input
+    # errors, raised before a character is computed
+    from superschur import cli
+    computed = []
+    monkeypatch.setattr(cli, "character",
+                        lambda *args: computed.append(args) or 0)
+    code, out, err = run(capsys, "char", "--m", "3", "--n", "2",
+                         "--weight", "3,2,-1;-1,-1", "--method", "all",
+                         "--emit-matrix")
+    assert (code, out) == (1, "")
+    assert "--emit-matrix" in err
+    code, out, err = run(capsys, "char", "--m", "2", "--n", "2",
+                         "--weight", "1,0;0,-1", "--method", "suzhang",
+                         "--emit-matrix")
+    assert (code, out) == (1, "")
+    assert "delta-part is not constant" in err
+    assert computed == []
+
+
 def test_char_method_all_agrees_on_golden(capsys):
     code, out, _ = run(capsys, "char", "--m", "3", "--n", "2",
                        "--weight", "3,2,-1;-1,-1", "--method", "all")
@@ -205,3 +226,15 @@ def test_verify_bad_grid_exits_one(capsys):
                        "--grid", "m=3")
     assert code == 1
     assert "bad grid clause" in err
+
+
+@pytest.mark.parametrize("suite,grid,named", [
+    ("jt-vs-oracle", "m<=0", "jt-vs-oracle"),
+    ("rho", "n<=0", "rho"),
+    ("raise-oracle", "n<=0", "n<=0"),
+    ("raise-oracle", "entry<=-1", "entry<=-1"),
+])
+def test_verify_fails_when_a_suite_checks_nothing(capsys, suite, grid, named):
+    code, _, err = run(capsys, "verify", "--suite", suite, "--grid", grid)
+    assert code == 1
+    assert err.startswith("error:") and named in err

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from superschur.characters import su_zhang_char, typical_constant_delta_char
 from superschur.jacobi_trudi import (character, dimension, general_char,
                                      jt_char, jt_entry_indices, jt_matrix,
-                                     jt_matrix_labels, weyl_dimension)
+                                     jt_matrix_labels)
 from superschur.laurent import LaurentPoly
 from superschur.symfunc import _dual_super_h, _super_h
 from superschur.weights import Weight, special_class
+from reference import weyl_dimension
 from test_symfunc import brute_det
 
 

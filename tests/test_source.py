@@ -54,3 +54,44 @@ def test_only_laurent_uses_its_private_names():
                   and node.module in ("laurent", "superschur.laurent")
                   for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+# names that code outside the package calls, each with the caller
+REACHED_FROM_OUTSIDE = {
+    # argparse calls it on a bad command line
+    "cli._Parser.error",
+    # the benchmark's tracer patches it by name; it is the division
+    # reference that the tests check quotients against
+    "laurent.LaurentPoly.exact_divide",
+}
+
+
+def test_every_definition_is_referenced_in_the_package():
+    # a function, method or class that no code of the package names,
+    # apart from its own body, is reached by tests alone; tests keep
+    # such references in tests/reference.py instead
+    defs, refs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stack = [(tree, path.stem)]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    defs.append((f"{prefix}.{child.name}", child))
+                    stack.append((child, f"{prefix}.{child.name}"))
+                else:
+                    stack.append((child, prefix))
+        refs += [(node, node.id if isinstance(node, ast.Name) else node.attr)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute))]
+    unreferenced = []
+    for qualname, node in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        own = {id(inner) for inner in ast.walk(node)}
+        if not any(ref == name and id(at) not in own for at, ref in refs):
+            unreferenced.append(qualname)
+    assert sorted(unreferenced) == sorted(REACHED_FROM_OUTSIDE)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from superschur.combinatorics import CompositePartition, Partition
 from superschur.weights import (Weight, atypical_roots, decompose,
                                 has_constant_mu, normalize_to_special, phi,
-                                phi_inverse, rho, special_class,
+                                phi_inverse, rho0_doubled, special_class,
                                 special_violation)
 
 
@@ -49,7 +49,9 @@ def test_sigma_shift():
 
 
 def test_rho_vectors():
-    assert rho(3, 2) == Weight(3, 2, (3, 2, 1), (-1, -2))
+    # rho0 = ((m-1)/2, ..., (1-m)/2; (n-1)/2, ..., (1-n)/2), doubled
+    assert rho0_doubled(3, 2) == (2, 0, -2, 1, -1)
+    assert rho0_doubled(2, 0) == (1, -1)
 
 
 # -- atypicality ------------------------------------------------------------
@@ -66,15 +68,6 @@ def test_atypical_roots_worked_example():
 
 def test_typical_weight_has_no_atypical_roots():
     assert atypical_roots(Weight(3, 2, (3, 2, -1), (-1, -1))).degree == 0
-
-
-def test_atypical_tuple_and_heights():
-    w = Weight(3, 2, (1, 0, -1), (-1, -2))
-    data = atypical_roots(w)
-    # aty entries mu_{n_s} - n_s in root order
-    assert data.aty_tuple == (-2, -4)
-    # heights lam_{m_s} - n_s + s
-    assert data.heights == (0, 1)
 
 
 @settings(max_examples=100, deadline=None)
