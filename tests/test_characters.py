@@ -5,7 +5,9 @@ two-alternant expansion, built with nothing but polynomial arithmetic.
 It pins the cycle weights and the signs of the formula, but it is not
 an independent oracle: it rests on the same identity-only permutation
 set as `su_zhang_char`, which is wrong when two atypical roots are not
-close (this weight's are not), so its 343 is not the module's dimension.
+close.  This weight's are not, so the test cannot confirm its 343; a
+highest-weight oracle that shares no code with either (ROADMAP item 1)
+gives 330.
 """
 
 from itertools import permutations
