@@ -30,7 +30,7 @@ class CapExceeded(RuntimeError):
 # -- the permutation set ---------------------------------------------------
 
 
-def s_lambda_set(w, data=None):
+def s_lambda_set(w, roots=None):
     """Permutations of the atypical slots entering the character sum.
 
     Only the identity is admitted: every pair of slots keeps its
@@ -42,19 +42,19 @@ def s_lambda_set(w, data=None):
     15.  The worked r=2 check in the tests expands two alternants under
     the same identity-only assumption, so it does not confirm it.
     """
-    data = data or atypical_roots(w)
-    return [tuple(range(data.degree))]
+    roots = atypical_roots(w) if roots is None else roots
+    return [tuple(range(len(roots)))]
 
 
 # -- the cone, dot action, and lexical raising ------------------------------
 
 
-def dot_action(perm, w, data):
+def dot_action(perm, w, roots):
     """perm . w = perm(w + rho) - rho, permuting the atypical entries.
 
     perm is a 0-based one-line permutation of the atypical slots; the
     entry arriving at slot s comes from slot perm^{-1}(s).  Slots are
-    fixed by `data` (the atypical geometry of the original weight).
+    fixed by `roots` (the atypical roots of the original weight).
     """
     r = len(perm)
     inv = [0] * r
@@ -69,34 +69,34 @@ def dot_action(perm, w, data):
     mu_rho = [w.mu[j] - (j + 1) for j in range(w.n)]
     for s in range(r):
         src = inv[s]
-        ms, ns = data.roots[s]
-        ms_src, ns_src = data.roots[src]
+        ms, ns = roots[s]
+        ms_src, ns_src = roots[src]
         lam[ms - 1] = lam_rho[ms_src - 1] - (m - (ms - 1))
         mu[ns - 1] = mu_rho[ns_src - 1] + ns
     return Weight(w.m, w.n, tuple(lam), tuple(mu))
 
 
-def lexical_raise_weight(v, data):
+def lexical_raise_weight(v, roots):
     """Greedy right-to-left raise to the maximal lexical cone element."""
-    r = data.degree
-    a = [v.mu[ns - 1] - ns for _, ns in data.roots]
+    r = len(roots)
+    a = [v.mu[ns - 1] - ns for _, ns in roots]
     offs = [0] * r
     for s in range(r - 2, -1, -1):
         offs[s] = max(0, (a[s + 1] + offs[s + 1]) - a[s])
     lam = list(v.lam)
     mu = list(v.mu)
-    for i, (ms, ns) in zip(offs, data.roots):
+    for i, (ms, ns) in zip(offs, roots):
         lam[ms - 1] -= i
         mu[ns - 1] += i
     return Weight(v.m, v.n, tuple(lam), tuple(mu))
 
 
-def cone_offsets(base, v, data):
+def cone_offsets(base, v, roots):
     """Offsets expressing v = base - sum(i_s gamma_s); errors if outside."""
     offs = []
     lam = list(v.lam)
     mu = list(v.mu)
-    for ms, ns in data.roots:
+    for ms, ns in roots:
         i = base.lam[ms - 1] - v.lam[ms - 1]
         if v.mu[ns - 1] - base.mu[ns - 1] != i:
             raise ValueError(f"{v} is not in the cone of {base}")
@@ -253,18 +253,18 @@ def su_zhang_char(w, cap=None):
     w.require_dominant()
     m, n = w.m, w.n
     _check_cap(m, n, cap)
-    data = atypical_roots(w)
-    r = data.degree
-    P = _odd_root_product(m, n, set(data.roots))
+    roots = atypical_roots(w)
+    r = len(roots)
+    P = _odd_root_product(m, n, set(roots))
     rho0d = rho0_doubled(m, n)
     rfact = factorial(r)
     acc = {}
-    for sigma in s_lambda_set(w, data):
-        sigma_raised = lexical_raise_weight(dot_action(sigma, w, data), data)
+    for sigma in s_lambda_set(w, roots):
+        sigma_raised = lexical_raise_weight(dot_action(sigma, w, roots), roots)
         for ct in enumerate_cycle_types(r):
             v = lexical_raise_weight(
-                dot_action(ct.perm, sigma_raised, data), data)
-            offs = cone_offsets(w, v, data)
+                dot_action(ct.perm, sigma_raised, roots), roots)
+            offs = cone_offsets(w, v, roots)
             if any(o < 0 for o in offs):
                 raise ArithmeticError(
                     f"raised weight {v} escapes the cone of {w}")
@@ -305,7 +305,7 @@ def typical_constant_delta_char(w, cap=None):
     _check_cap(m, n, cap)
     if w.n and any(b != w.mu[0] for b in w.mu):
         raise ValueError("delta-part is not constant")
-    if atypical_roots(w).degree != 0:
+    if atypical_roots(w):
         raise ValueError(f"{w} is atypical")
     xvals = tuple(2 * w.lam[i] + (m - 1 - 2 * i) for i in range(m))
     mu_exp = tuple(2 * b for b in w.mu)

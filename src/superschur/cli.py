@@ -7,14 +7,16 @@ Subcommands:
   verify  run the identity suites and report failures
 
 Exit codes: 0 success, 1 input error (the message names the violated
-hypothesis), 2 route disagreement under `char --method all`.  JSON
-output is canonical: identical inputs give byte-identical bytes.
+hypothesis) or a reader that closed the output pipe, 2 route
+disagreement under `char --method all`.  JSON output is canonical:
+identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .combinatorics import CompositePartition
@@ -56,9 +58,10 @@ def _matrix_payload(w):
 
 def cmd_char(args):
     w = _parse_weight(args)
+    if args.emit_matrix and args.method != "jt":
+        # only the jt route computes its character from the matrix
+        raise ValueError("--emit-matrix needs --method jt")
     if args.method == "all":
-        if args.emit_matrix:
-            raise ValueError("--emit-matrix needs one --method, not all")
         routes = {}
         for name in ROUTES:
             try:
@@ -88,32 +91,25 @@ def cmd_char(args):
     # one before the character is computed
     matrix = _matrix_payload(w) if args.emit_matrix else None
     poly = character(w, args.method, args.cap)
-    if matrix:
-        labels, defs = matrix
-        if args.format == "json":
-            payload = {
-                "weight": str(w),
-                "method": args.method,
-                "matrix": labels,
-                "entries": {k: v.to_json_dict() for k, v in defs.items()},
-                "character": poly.to_json_dict(),
-            }
-            print(_canonical(payload))
-        else:
-            print("matrix:")
-            for row in labels:
-                print("  " + " ".join(row))
-            print("entries:")
-            for label in sorted(defs, key=lambda s: (s.split("_")[0],
-                                                     int(s.split("_")[1]))):
-                print(f"  {label} = {defs[label]}")
-            print("character:")
-            print(poly)
-        return 0
     if args.format == "json":
         payload = {"weight": str(w), "method": args.method,
                    "character": poly.to_json_dict()}
+        if matrix:
+            labels, defs = matrix
+            payload["matrix"] = labels
+            payload["entries"] = {k: v.to_json_dict() for k, v in defs.items()}
         print(_canonical(payload))
+    elif matrix:
+        labels, defs = matrix
+        print("matrix:")
+        for row in labels:
+            print("  " + " ".join(row))
+        print("entries:")
+        for label in sorted(defs, key=lambda s: (s.split("_")[0],
+                                                 int(s.split("_")[1]))):
+            print(f"  {label} = {defs[label]}")
+        print("character:")
+        print(poly)
     else:
         print(poly)
     return 0
@@ -173,7 +169,7 @@ def build_parser():
                         choices=ROUTES + ("all",))
     p_char.add_argument("--format", default="text", choices=("text", "json"))
     p_char.add_argument("--emit-matrix", action="store_true",
-                        help="also print the determinant matrix")
+                        help="also print the determinant matrix (--method jt)")
     p_char.set_defaults(func=cmd_char)
 
     p_dim = subs.add_parser("dim", help="compute a dimension")
@@ -207,9 +203,17 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # write what is still buffered while a closed pipe can be caught
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

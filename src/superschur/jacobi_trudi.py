@@ -13,47 +13,38 @@ from .characters import (_check_cap, reduction_char, su_zhang_char,
 from .laurent import LaurentPoly
 from .symfunc import (_dual_super_h, _super_h, composite_block_matrix,
                       poly_det)
-from .weights import (has_constant_mu, normalize_to_special,
-                      special_class, special_violation)
+from .weights import normalize_to_special, special_class, special_violation
 
 
-def _require_jt_input(sc):
+def _jt_parts(sc):
+    """Dual parts n - alpha_{m-t+1}, t = 1..k, and direct parts
+    alpha_1..alpha_{m-k} of the block matrix of sc; raises ValueError
+    unless the delta-part is the constant -k.
+    """
     w, k = sc.weight, sc.k
     if w.n and any(b != -k for b in w.mu):
         raise ValueError("delta-part must be constant -k")
-    return w, k
-
-
-def jt_entry_indices(sc):
-    """The m x m matrix of ("h" | "hbar", degree) labels.
-
-    It is the block matrix of the composite partition with dual parts
-    n - alpha_{m-t+1} for t = 1..k and direct parts alpha_1..alpha_{m-k}.
-    """
-    w, k = _require_jt_input(sc)
     alpha = w.lam
-    return composite_block_matrix(
-        [w.n - alpha[w.m - t] for t in range(1, k + 1)], alpha[:w.m - k],
-        lambda r: ("h", r), lambda r: ("hbar", r))
+    return [w.n - alpha[w.m - t] for t in range(1, k + 1)], alpha[:w.m - k]
 
 
 def jt_matrix(sc):
     """The determinant matrix with expanded LaurentPoly entries."""
-    w, _ = _require_jt_input(sc)
-    fns = {"h": _super_h, "hbar": _dual_super_h}
-    return [[fns[kind](w.m, w.n, r) for kind, r in row]
-            for row in jt_entry_indices(sc)]
+    m, n = sc.weight.m, sc.weight.n
+    return composite_block_matrix(*_jt_parts(sc),
+                                  lambda r: _super_h(m, n, r),
+                                  lambda r: _dual_super_h(m, n, r))
 
 
 def jt_matrix_labels(sc):
     """String labels like "h_2" / "hbar_3" for --emit-matrix output."""
-    return [[f"{kind}_{r}" for kind, r in row] for row in jt_entry_indices(sc)]
+    return composite_block_matrix(*_jt_parts(sc), "h_{}".format,
+                                  "hbar_{}".format)
 
 
 def jt_char(sc):
     """Character of a special constant-delta weight as a determinant."""
-    w, _ = _require_jt_input(sc)
-    return poly_det(jt_matrix(sc), w.m, w.n)
+    return poly_det(jt_matrix(sc), sc.weight.m, sc.weight.n)
 
 
 def general_char(w, cap=None):
@@ -62,11 +53,8 @@ def general_char(w, cap=None):
     Normalizes by the sigma-shift (w + j*sigma is special), takes the
     determinant character there, and divides by (prod x / prod y)^j.
     """
-    w.require_dominant()
-    if not has_constant_mu(w):
-        raise ValueError("delta-part is not constant")
-    _check_cap(w.m, w.n, cap)
     j, sc = normalize_to_special(w)
+    _check_cap(w.m, w.n, cap)
     base = jt_char(sc)
     if j:
         m, n = w.m, w.n

@@ -158,9 +158,6 @@ class LaurentPoly:
             return NotImplemented
         return (self.m, self.n) == (other.m, other.n) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.m, self.n, frozenset(self.terms.items())))
-
     def _check_arity(self, other):
         if (self.m, self.n) != (other.m, other.n):
             raise ArityMismatchError(

@@ -1,9 +1,11 @@
 """Verification suites shared by the CLI and the test suite.
 
-Each suite returns a report dict {"suite", "cases", "failures"} where
-failures is a sorted list of case strings; a suite passes when the
-list is empty.  Grids are walked deterministically and random suites
-are driven by an explicit seed, so reports are reproducible.
+Each suite is a generator of (case, passed) pairs, one per case it
+checks; `run_suite` turns them into a report {"suite", "cases",
+"failures"} where failures is a sorted list of case strings.  A suite
+passes when the list is empty.  Grids are walked deterministically and
+random suites are driven by an explicit seed, so reports are
+reproducible.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ class GridSpec:
         return cls(spec.get("m", 3), spec.get("n", 2), spec.get("entry", 3))
 
 
-def _report(suite, cases, failures):
-    return {"suite": suite, "cases": cases, "failures": sorted(failures)}
-
-
 def _dominant_tuples(length, bound):
     """All weakly decreasing tuples with entries in [-bound, bound]."""
     out = []
@@ -66,23 +64,27 @@ def _partitions(max_len, max_part, prefix=()):
     return out
 
 
+def _constant_delta_weights(grid):
+    """Every dominant weight on the grid with a constant delta-part."""
+    for m in range(1, grid.m_max + 1):
+        for n in range(1, grid.n_max + 1):
+            for alpha in _dominant_tuples(m, grid.entry_max):
+                for beta in range(-grid.entry_max, grid.entry_max + 1):
+                    yield Weight(m, n, alpha, (beta,) * n)
+
+
 # -- suites -------------------------------------------------------------
 
 
 def suite_rho(grid=None, seed=None):
     """Denominator/rho bookkeeping identities over small split shapes."""
     grid = grid or GridSpec(m_max=4, n_max=3)
-    cases = 0
-    failures = []
     for m in range(2, grid.m_max + 1):
         for p in range(1, m):
             q = m - p
             for n in range(1, grid.n_max + 1):
-                cases += 1
                 res = lemma_rho_identities(m, n, p, q)
-                if not (res["a"] and res["b"]):
-                    failures.append(f"m={m},n={n},p={p},q={q}")
-    return _report("rho", cases, failures)
+                yield f"m={m},n={n},p={p},q={q}", res["a"] and res["b"]
 
 
 def split_classical_factors(m, mu, nu, p, q):
@@ -123,8 +125,6 @@ def suite_split_classical(grid=None, seed=None):
     s_{mu+q^p}(x') is (prod x')^q s_mu(x').
     """
     grid = grid or GridSpec(m_max=4, n_max=0, entry_max=3)
-    cases = 0
-    failures = []
     for m in range(2, grid.m_max + 1):
         for p in range(1, m):
             q = m - p
@@ -133,13 +133,10 @@ def suite_split_classical(grid=None, seed=None):
                     concat = mu.padded(p) + nu.padded(q)
                     if any(concat[i] < concat[i + 1] for i in range(m - 1)):
                         continue
-                    cases += 1
                     left, right = split_classical_factors(m, mu, nu, p, q)
                     lhs = _split_assemble(m, 0, p, q, left, right)
-                    rhs = schur(Partition(concat), m, 0)
-                    if lhs != rhs:
-                        failures.append(f"m={m},p={p},mu={mu},nu={nu}")
-    return _report("split-classical", cases, failures)
+                    yield (f"m={m},p={p},mu={mu},nu={nu}",
+                           lhs == schur(Partition(concat), m, 0))
 
 
 def suite_split_super(grid=None, seed=None):
@@ -150,8 +147,6 @@ def suite_split_super(grid=None, seed=None):
     is s_{nu-bar;mu}(x/y).
     """
     grid = grid or GridSpec(m_max=4, n_max=2, entry_max=3)
-    cases = 0
-    failures = []
     for m in range(2, grid.m_max + 1):
         for n in range(1, grid.n_max + 1):
             for mu in _partitions(m - 1, grid.entry_max):
@@ -164,20 +159,15 @@ def suite_split_super(grid=None, seed=None):
                     q = sum(1 for p in nu.parts if p >= n)
                     if not 1 <= q <= m - mu.length - 1:
                         continue
-                    cases += 1
                     left, right = split_super_factors(c, q, m, n)
                     lhs = _split_assemble(m, n, m - q, q, left, right)
-                    rhs = composite_super_schur(c, m, n)
-                    if lhs != rhs:
-                        failures.append(f"m={m},n={n},c={c},q={q}")
-    return _report("split-super", cases, failures)
+                    yield (f"m={m},n={n},c={c},q={q}",
+                           lhs == composite_super_schur(c, m, n))
 
 
 def suite_isolate_y(grid=None, seed=None):
     """Reconstruction of a composite S-function from its last-y expansion."""
     grid = grid or GridSpec(m_max=3, n_max=2, entry_max=3)
-    cases = 0
-    failures = []
     for m in range(1, grid.m_max + 1):
         for n in range(1, grid.n_max + 1):
             x_slots = tuple(range(1, m + 1))
@@ -187,7 +177,6 @@ def suite_isolate_y(grid=None, seed=None):
                     c = CompositePartition(nu, mu)
                     if not c.is_standard(m) or not c.is_super_standard(m, n):
                         continue
-                    cases += 1
                     total = LaurentPoly.zero(m, n)
                     for piece, y_exp in isolate_last_y(c, n):
                         term = composite_super_schur(piece, m, n - 1).embed(
@@ -196,47 +185,41 @@ def suite_isolate_y(grid=None, seed=None):
                         e[m + n - 1] = 2 * y_exp
                         total = total + term * LaurentPoly.monomial(
                             m, n, tuple(e))
-                    if total != composite_super_schur(c, m, n):
-                        failures.append(f"m={m},n={n},c={c}")
-    return _report("isolate-y", cases, failures)
+                    yield (f"m={m},n={n},c={c}",
+                           total == composite_super_schur(c, m, n))
 
 
 def suite_jt_vs_oracle(grid=None, seed=None):
     """Determinant route against the alternating-sum route, exhaustively."""
-    grid = grid or GridSpec()
-    cases = 0
-    failures = []
-    for m in range(1, grid.m_max + 1):
-        for n in range(1, grid.n_max + 1):
-            for alpha in _dominant_tuples(m, grid.entry_max):
-                for beta in range(-grid.entry_max, grid.entry_max + 1):
-                    w = Weight(m, n, alpha, (beta,) * n)
-                    cases += 1
-                    if general_char(w) != su_zhang_char(w):
-                        failures.append(f"m={m},n={n},w={w}")
-    return _report("jt-vs-oracle", cases, failures)
+    for w in _constant_delta_weights(grid or GridSpec()):
+        yield f"m={w.m},n={w.n},w={w}", general_char(w) == su_zhang_char(w)
 
 
-def brute_force_lexical_raise(v, data, slack=3):
+BRUTE_FORCE_SLACK = 3
+RAISE_ORACLE_CASES = 500
+
+
+def brute_force_lexical_raise(v, roots):
     """All minimal lexical cone elements below v, by exhaustive search.
 
     Searches offset vectors relative to v up to the greedy answer plus
-    slack in every slot and keeps the offset-wise minimal lexical ones.
+    BRUTE_FORCE_SLACK in every slot and keeps the offset-wise minimal
+    lexical ones.
     """
-    r = data.degree
-    greedy = lexical_raise_weight(v, data)
+    r = len(roots)
+    greedy = lexical_raise_weight(v, roots)
     greedy_offs = tuple(v.lam[ms - 1] - greedy.lam[ms - 1]
-                        for ms, _ in data.roots)
-    bound = max(greedy_offs, default=0) + slack
+                        for ms, _ in roots)
+    bound = max(greedy_offs, default=0) + BRUTE_FORCE_SLACK
     found = []
     for offs in product(range(bound + 1), repeat=r):
         lam = list(v.lam)
         mu = list(v.mu)
-        for i, (ms, ns) in zip(offs, data.roots):
+        for i, (ms, ns) in zip(offs, roots):
             lam[ms - 1] -= i
             mu[ns - 1] += i
         cand = Weight(v.m, v.n, tuple(lam), tuple(mu))
-        a = [cand.mu[ns - 1] - ns for _, ns in data.roots]
+        a = [cand.mu[ns - 1] - ns for _, ns in roots]
         if all(a[s] >= a[s + 1] for s in range(r - 1)):
             found.append(offs)
     minimal = [o for o in found
@@ -245,7 +228,7 @@ def brute_force_lexical_raise(v, data, slack=3):
     return greedy_offs, minimal
 
 
-def suite_raise_oracle(grid=None, seed=None, count=500):
+def suite_raise_oracle(grid=None, seed=None):
     """Greedy lexical raise against the brute-force cone maximum."""
     grid = grid or GridSpec(m_max=4, n_max=3, entry_max=4)
     # the zero weight of gl(m|n) is atypical whenever m, n >= 1
@@ -257,61 +240,44 @@ def suite_raise_oracle(grid=None, seed=None, count=500):
                 f"atypical weight (the bound must be at least {least})")
     rng = random.Random(7 if seed is None else seed)
     cases = 0
-    failures = []
-    while cases < count:
+    while cases < RAISE_ORACLE_CASES:
         m = rng.randint(1, grid.m_max)
         n = rng.randint(1, grid.n_max)
         lam = tuple(sorted((rng.randint(-grid.entry_max, grid.entry_max)
                             for _ in range(m)), reverse=True))
         mu = tuple(sorted((rng.randint(-grid.entry_max, grid.entry_max)
                            for _ in range(n)), reverse=True))
-        w = Weight(m, n, lam, mu)
-        data = atypical_roots(w)
-        if data.degree == 0:
+        roots = atypical_roots(Weight(m, n, lam, mu))
+        if not roots:
             continue
         # perturb into the cone so the raise has work to do
-        offs = tuple(rng.randint(0, 2) for _ in range(data.degree))
+        offs = tuple(rng.randint(0, 2) for _ in range(len(roots)))
         lam2 = list(lam)
         mu2 = list(mu)
-        for i, (ms, ns) in zip(offs, data.roots):
+        for i, (ms, ns) in zip(offs, roots):
             lam2[ms - 1] -= i
             mu2[ns - 1] += i
         v = Weight(m, n, tuple(lam2), tuple(mu2))
         cases += 1
-        greedy_offs, minimal = brute_force_lexical_raise(v, data)
-        if len(minimal) != 1 or minimal[0] != greedy_offs:
-            failures.append(f"m={m},n={n},v={v}")
-    return _report("raise-oracle", cases, failures)
+        greedy_offs, minimal = brute_force_lexical_raise(v, roots)
+        yield f"m={m},n={n},v={v}", minimal == [greedy_offs]
 
 
 def suite_phi_roundtrip(grid=None, seed=None):
     """Bijection roundtrip, shift uniqueness, and head/tail reassembly."""
-    grid = grid or GridSpec()
-    cases = 0
-    failures = []
-    for m in range(1, grid.m_max + 1):
-        for n in range(1, grid.n_max + 1):
-            for alpha in _dominant_tuples(m, grid.entry_max):
-                for beta in range(-grid.entry_max, grid.entry_max + 1):
-                    w = Weight(m, n, alpha, (beta,) * n)
-                    cases += 1
-                    tag = f"m={m},n={n},w={w}"
-                    try:
-                        j, sc = normalize_to_special(w)
-                    except ValueError:
-                        failures.append(tag)
-                        continue
-                    c = phi(sc)
-                    if phi_inverse(c, m, n).weight != sc.weight:
-                        failures.append(tag)
-                        continue
-                    head, tail = decompose(sc)
-                    ws = sc.weight
-                    re_lam = head.lam + tail.lam
-                    re_mu = tuple(a + b for a, b in zip(head.mu, tail.mu))
-                    if re_lam != ws.lam or re_mu != ws.mu:
-                        failures.append(tag)
-    return _report("phi-roundtrip", cases, failures)
+    for w in _constant_delta_weights(grid or GridSpec()):
+        case = f"m={w.m},n={w.n},w={w}"
+        try:
+            _, sc = normalize_to_special(w)
+        except ValueError:
+            yield case, False
+            continue
+        ws = sc.weight
+        head, tail = decompose(sc)
+        yield case, (phi_inverse(phi(sc), w.m, w.n).weight == ws
+                     and head.lam + tail.lam == ws.lam
+                     and tuple(a + b for a, b in zip(head.mu, tail.mu))
+                     == ws.mu)
 
 
 SUITES = {
@@ -327,8 +293,16 @@ SUITES = {
 
 def run_suite(name, grid=None, seed=None):
     """Run one suite by name ("all" chains every suite); list of reports."""
-    if name == "all":
-        return [SUITES[key](grid, seed) for key in SUITES]
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [SUITES[name](grid, seed)]
+    reports = []
+    for key in SUITES if name == "all" else (name,):
+        cases = 0
+        failures = []
+        for case, passed in SUITES[key](grid, seed):
+            cases += 1
+            if not passed:
+                failures.append(case)
+        reports.append({"suite": key, "cases": cases,
+                        "failures": sorted(failures)})
+    return reports

@@ -67,23 +67,12 @@ def rho0_doubled(m, n):
             tuple(n - 1 - 2 * j for j in range(n)))
 
 
-@dataclass(frozen=True)
-class AtypicalData:
-    """Ordered atypical roots gamma_s = eps_{m_s} - del_{n_s} of a weight.
-
-    For dominant weights the ordering gives m_r < ... < m_1 and
-    n_1 < ... < n_r.
-    """
-
-    roots: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self):
-        return len(self.roots)
-
-
 def atypical_roots(w):
-    """All (i, j) with (lam_i + m + 1 - i) + (mu_j - j) = 0, in root order."""
+    """The atypical roots eps_{m_s} - del_{n_s} of w as (m_s, n_s) pairs.
+
+    They are the (i, j) with (lam_i + m + 1 - i) + (mu_j - j) = 0, in
+    root order: m_r < ... < m_1 and n_1 < ... < n_r.
+    """
     w.require_dominant()
     pairs = []
     for i in range(1, w.m + 1):
@@ -91,7 +80,7 @@ def atypical_roots(w):
             if (w.lam[i - 1] + w.m + 1 - i) + (w.mu[j - 1] - j) == 0:
                 pairs.append((i, j))
     pairs.sort(key=lambda p: (p[1] - p[0], -p[0]))
-    return AtypicalData(tuple(pairs))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)

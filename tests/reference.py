@@ -138,23 +138,23 @@ def weyl_dimension(lam):
     return q
 
 
-def c_related(w, s, t, data=None):
+def c_related(w, s, t, roots=None):
     """Closeness of the s-th and t-th atypical roots (1-based, s <= t)."""
-    data = data or atypical_roots(w)
-    if not (1 <= s <= t <= data.degree):
+    roots = atypical_roots(w) if roots is None else roots
+    if not (1 <= s <= t <= len(roots)):
         raise IndexError("atypical root index out of range")
     if s == t:
         return True
-    (ms, ns), (mt, nt) = data.roots[s - 1], data.roots[t - 1]
+    (ms, ns), (mt, nt) = roots[s - 1], roots[t - 1]
     return w.lam[mt - 1] - w.lam[ms - 1] < nt - ns
 
 
-def strongly_c_related(w, s, t, data=None):
+def strongly_c_related(w, s, t, roots=None):
     """Chain closeness: every consecutive pair between s and t is close."""
-    data = data or atypical_roots(w)
-    if not (1 <= s <= t <= data.degree):
+    roots = atypical_roots(w) if roots is None else roots
+    if not (1 <= s <= t <= len(roots)):
         raise IndexError("atypical root index out of range")
-    return all(c_related(w, u, u + 1, data) for u in range(s, t))
+    return all(c_related(w, u, u + 1, roots) for u in range(s, t))
 
 
 def composite_schur_by_shift(c, m, n):

@@ -6,8 +6,6 @@ equality; runtime budgets are asserted where a criterion carries one.
 import json
 import random
 import time
-from itertools import product
-
 import pytest
 
 from superschur.characters import (dot_action, lexical_raise_weight,
@@ -16,7 +14,7 @@ from superschur.characters import (dot_action, lexical_raise_weight,
 from superschur.cli import main
 from superschur.combinatorics import CompositePartition, Partition
 from superschur.jacobi_trudi import general_char
-from superschur.verify import GridSpec, run_suite
+from superschur.verify import GridSpec, _dominant_tuples, run_suite
 from superschur.weights import (Weight, atypical_roots, decompose,
                                 normalize_to_special, phi, phi_inverse,
                                 special_class)
@@ -26,14 +24,6 @@ from test_symfunc import composite_schur_by_det
 
 GOLDEN = Weight(3, 2, (3, 2, -1), (-1, -1))
 WORKED = Weight(3, 2, (1, 0, -1), (-1, -2))
-
-
-def _dominant_tuples(length, bound):
-    out = []
-    for tup in product(range(bound, -bound - 1, -1), repeat=length):
-        if all(tup[i] >= tup[i + 1] for i in range(length - 1)):
-            out.append(tup)
-    return out
 
 
 def test_criterion_1_golden_example(capsys):
@@ -55,15 +45,15 @@ def test_criterion_1_golden_example(capsys):
 
 def test_criterion_2_worked_atypical_replay():
     start = time.time()
-    data = atypical_roots(WORKED)
-    assert set(data.roots) == {(1, 2), (2, 1)}
+    roots = atypical_roots(WORKED)
+    assert set(roots) == {(1, 2), (2, 1)}
     swap = (1, 0)
-    assert lexical_raise_weight(dot_action(swap, WORKED, data), data) == \
+    assert lexical_raise_weight(dot_action(swap, WORKED, roots), roots) == \
         Weight(3, 2, (-1, 0, -1), (-1, 0))
     sc = special_class(WORKED)
     head, _ = decompose(sc)
-    hdata = atypical_roots(head)
-    assert lexical_raise_weight(dot_action(swap, head, hdata), hdata) == \
+    hroots = atypical_roots(head)
+    assert lexical_raise_weight(dot_action(swap, head, hroots), hroots) == \
         Weight(2, 2, (-1, 0), (0, 1))
     assert reduction_char(sc) == su_zhang_char(WORKED)
     assert time.time() - start < 10.0
@@ -134,7 +124,7 @@ def test_criterion_6_structural_invariants():
         if w.n > 1:
             assert act_permutation(
                 ch, wy=(1, 0) + tuple(range(2, w.n))) == ch
-        if atypical_roots(w).degree == 0 and len(set(w.mu)) == 1:
+        if not atypical_roots(w) and len(set(w.mu)) == 1:
             assert dim == 2 ** (w.m * w.n) * weyl_dimension(w.lam)
     # the golden weight's dimension, by the formula: 2^6 * 24 = 1536
     assert su_zhang_char(GOLDEN).sum_of_coefficients() == 1536

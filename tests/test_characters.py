@@ -113,7 +113,7 @@ def test_typical_closed_form_matches_alternating_sum():
         Weight(3, 2, (3, 2, -1), (-1, -1)),
     ]
     for w in cases:
-        assert atypical_roots(w).degree == 0
+        assert atypical_roots(w) == ()
         assert typical_constant_delta_char(w) == su_zhang_char(w)
 
 
@@ -182,23 +182,23 @@ def test_cap_guard():
 
 def test_worked_r2_slots_are_not_close():
     w = Weight(3, 2, (1, 0, -1), (-1, -2))
-    data = atypical_roots(w)
-    assert not c_related(w, 1, 2, data)
-    assert not strongly_c_related(w, 1, 2, data)
-    assert c_related(w, 1, 1, data)
+    roots = atypical_roots(w)
+    assert not c_related(w, 1, 2, roots)
+    assert not strongly_c_related(w, 1, 2, roots)
+    assert c_related(w, 1, 1, roots)
 
 
 def test_constant_delta_slots_are_chain_close():
     w = Weight(3, 3, (0, 0, 0), (0, 0, 0))
-    data = atypical_roots(w)
-    assert data.degree == 3
-    assert strongly_c_related(w, 1, 3, data)
+    roots = atypical_roots(w)
+    assert len(roots) == 3
+    assert strongly_c_related(w, 1, 3, roots)
 
 
 def test_s_lambda_set_is_identity_only():
     for w in [Weight(3, 2, (1, 0, -1), (-1, -2)),
               Weight(2, 2, (0, 0), (0, 0))]:
-        assert s_lambda_set(w) == [tuple(range(atypical_roots(w).degree))]
+        assert s_lambda_set(w) == [tuple(range(len(atypical_roots(w))))]
 
 
 def test_closeness_index_bounds():
@@ -212,43 +212,43 @@ def test_closeness_index_bounds():
 
 def test_dot_action_worked_values():
     w = Weight(3, 2, (1, 0, -1), (-1, -2))
-    data = atypical_roots(w)
+    roots = atypical_roots(w)
     swap = (1, 0)
-    assert lexical_raise_weight(dot_action(swap, w, data), data) == \
+    assert lexical_raise_weight(dot_action(swap, w, roots), roots) == \
         Weight(3, 2, (-1, 0, -1), (-1, 0))
     head = Weight(2, 2, (1, 0), (0, -1))
-    hdata = atypical_roots(head)
-    assert lexical_raise_weight(dot_action(swap, head, hdata), hdata) == \
+    hroots = atypical_roots(head)
+    assert lexical_raise_weight(dot_action(swap, head, hroots), hroots) == \
         Weight(2, 2, (-1, 0), (0, 1))
 
 
 def test_dot_action_identity_fixes_weight():
     w = Weight(3, 2, (1, 0, -1), (-1, -2))
-    data = atypical_roots(w)
-    assert dot_action((0, 1), w, data) == w
+    roots = atypical_roots(w)
+    assert dot_action((0, 1), w, roots) == w
 
 
 def test_lexical_raise_produces_lexical_weight():
     w = Weight(3, 2, (1, 0, -1), (-1, -2))
-    data = atypical_roots(w)
+    roots = atypical_roots(w)
     # w - 2 gamma_1, with gamma_1 the first atypical root (2, 1)
     v = Weight(3, 2, (1, -2, -1), (1, -2))
-    raised = lexical_raise_weight(v, data)
-    a = [raised.mu[ns - 1] - ns for _, ns in data.roots]
+    raised = lexical_raise_weight(v, roots)
+    a = [raised.mu[ns - 1] - ns for _, ns in roots]
     assert all(a[s] >= a[s + 1] for s in range(len(a) - 1))
     # raising is idempotent
-    assert lexical_raise_weight(raised, data) == raised
+    assert lexical_raise_weight(raised, roots) == raised
 
 
 def test_cone_offsets_roundtrip_and_rejection():
     w = Weight(3, 2, (1, 0, -1), (-1, -2))
-    data = atypical_roots(w)
+    roots = atypical_roots(w)
     # w - gamma_1 - 2 gamma_2, with atypical roots (2, 1) and (1, 2)
     v = Weight(3, 2, (-1, -1, -1), (0, 0))
-    assert cone_offsets(w, v, data) == (1, 2)
+    assert cone_offsets(w, v, roots) == (1, 2)
     outside = Weight(3, 2, (2, 0, -1), (-1, -2))
     with pytest.raises(ValueError):
-        cone_offsets(w, outside, data)
+        cone_offsets(w, outside, roots)
 
 
 # -- rho bookkeeping ------------------------------------------------------------

@@ -1,9 +1,14 @@
 """CLI contract: flags, formats, exit codes, and canonical JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superschur
 from superschur.cli import main
 
 
@@ -47,20 +52,21 @@ def test_char_emit_matrix_golden(capsys):
 
 
 def test_emit_matrix_is_refused_before_any_character(capsys, monkeypatch):
-    # under --method all there is no one character for the matrix, and a
+    # only the jt route computes its character from the matrix, and a
     # weight without a constant delta-part has no matrix: both are input
     # errors, raised before a character is computed
     from superschur import cli
     computed = []
     monkeypatch.setattr(cli, "character",
                         lambda *args: computed.append(args) or 0)
-    code, out, err = run(capsys, "char", "--m", "3", "--n", "2",
-                         "--weight", "3,2,-1;-1,-1", "--method", "all",
-                         "--emit-matrix")
-    assert (code, out) == (1, "")
-    assert "--emit-matrix" in err
+    for method in ("all", "suzhang"):
+        code, out, err = run(capsys, "char", "--m", "3", "--n", "2",
+                             "--weight", "3,2,-1;-1,-1", "--method", method,
+                             "--emit-matrix")
+        assert (code, out) == (1, "")
+        assert "--emit-matrix needs --method jt" in err
     code, out, err = run(capsys, "char", "--m", "2", "--n", "2",
-                         "--weight", "1,0;0,-1", "--method", "suzhang",
+                         "--weight", "1,0;0,-1", "--method", "jt",
                          "--emit-matrix")
     assert (code, out) == (1, "")
     assert "delta-part is not constant" in err
@@ -100,6 +106,22 @@ def test_char_json_is_canonical(capsys):
     assert payload["weight"] == "2,1;0"
     assert out1 == json.dumps(payload, sort_keys=True,
                               separators=(",", ":")) + "\n"
+
+
+def test_closed_output_pipe_exits_one_without_a_traceback():
+    # the reader of the CLI's output is gone before it writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(superschur.__file__).parent.parent))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superschur.cli", "char", "--m", "1",
+             "--n", "1", "--weight", "0;0", "--method", "suzhang"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 # -- input errors → exit 1 -------------------------------------------------------
@@ -226,6 +248,18 @@ def test_verify_bad_grid_exits_one(capsys):
                        "--grid", "m=3")
     assert code == 1
     assert "bad grid clause" in err
+
+
+def test_verify_reports_every_failing_case_sorted(capsys, monkeypatch):
+    from superschur import verify
+    monkeypatch.setattr(verify, "su_zhang_char", lambda w: None)
+    code, out, _ = run(capsys, "verify", "--suite", "jt-vs-oracle",
+                       "--grid", "m<=1,n<=1,entry<=1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["cases"] == 9
+    assert report["failures"] == sorted(
+        f"m=1,n=1,w={a};{b}" for a in (1, 0, -1) for b in (1, 0, -1))
 
 
 @pytest.mark.parametrize("suite,grid,named", [

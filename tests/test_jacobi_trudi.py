@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from superschur.characters import su_zhang_char, typical_constant_delta_char
 from superschur.jacobi_trudi import (character, dimension, general_char,
-                                     jt_char, jt_entry_indices, jt_matrix,
-                                     jt_matrix_labels)
+                                     jt_char, jt_matrix, jt_matrix_labels)
 from superschur.laurent import LaurentPoly
 from superschur.symfunc import _dual_super_h, _super_h
 from superschur.weights import Weight, special_class
@@ -49,12 +48,11 @@ def test_golden_matrix_labels():
 
 def test_golden_matrix_entries_expand_generators():
     sc = special_class(GOLDEN)
-    mat = jt_matrix(sc)
-    for row, irow in zip(mat, jt_entry_indices(sc)):
-        for entry, (kind, r) in zip(row, irow):
+    for row, lrow in zip(jt_matrix(sc), jt_matrix_labels(sc)):
+        for entry, label in zip(row, lrow):
+            kind, r = label.split("_")
             generator = _super_h if kind == "h" else _dual_super_h
-            expected = generator(3, 2, r)
-            assert entry == expected
+            assert entry == generator(3, 2, int(r))
 
 
 def test_golden_determinant_equals_both_other_routes():

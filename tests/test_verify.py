@@ -1,5 +1,7 @@
 """The identity suites on reduced grids, and the grid parser."""
 
+import inspect
+
 import pytest
 
 from superschur.verify import GridSpec, SUITES, run_suite
@@ -32,7 +34,15 @@ def test_suite_passes_on_small_grid(name):
 def test_run_suite_all_chains_everything():
     reports = run_suite("all", SMALL, seed=3)
     assert [r["suite"] for r in reports] == sorted(SUITES, key=list(SUITES).index)
+    assert [r["cases"] for r in reports] == [1, 6, 2, 20, 100, 500, 100]
     assert all(not r["failures"] for r in reports)
+
+
+def test_every_suite_is_a_generator_of_cases():
+    # a suite yields (case, passed) pairs; run_suite alone counts the
+    # cases and collects the failures
+    assert [name for name, suite in SUITES.items()
+            if not inspect.isgeneratorfunction(suite)] == []
 
 
 def test_run_suite_unknown_name():
