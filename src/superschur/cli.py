@@ -21,6 +21,7 @@ import sys
 
 from .combinatorics import CompositePartition
 from .jacobi_trudi import character, dimension, jt_matrix, jt_matrix_labels
+from .laurent import LaurentPoly
 from .symfunc import composite_super_schur
 from .verify import GridSpec, run_suite
 from .weights import Weight, normalize_to_special
@@ -36,6 +37,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _canonical(obj):
+    """Canonical JSON text of obj: keys sorted, no spaces.
+
+    A LaurentPoly is written as {"arity":[m,n],"terms":[...]}, one
+    {"coeff":"<int>","exp2":[...]} per term, in `sorted_terms` order:
+    descending by total degree, then by exponent vector.  A dict is
+    written key by key, so that the polynomials in it are written the
+    same way; any other value goes to json.dumps.  So identical inputs
+    give identical bytes.
+    """
+    if isinstance(obj, LaurentPoly):
+        term = ('{"coeff":"%d","exp2":['
+                + ",".join(["%d"] * (obj.m + obj.n)) + "]}")
+        return '{"arity":[%d,%d],"terms":[%s]}' % (
+            obj.m, obj.n,
+            ",".join([term % (c, *e) for e, c in obj.sorted_terms()]))
+    if isinstance(obj, dict):
+        return "{%s}" % ",".join(json.dumps(k) + ":" + _canonical(v)
+                                 for k, v in sorted(obj.items()))
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -75,7 +94,7 @@ def cmd_char(args):
         if args.format == "json":
             payload = {
                 "weight": str(w),
-                "routes": {name: (p.to_json_dict() if p is not None else "n/a")
+                "routes": {name: (p if p is not None else "n/a")
                            for name, p in routes.items()},
                 "agree": agree,
             }
@@ -93,11 +112,11 @@ def cmd_char(args):
     poly = character(w, args.method, args.cap)
     if args.format == "json":
         payload = {"weight": str(w), "method": args.method,
-                   "character": poly.to_json_dict()}
+                   "character": poly}
         if matrix:
             labels, defs = matrix
             payload["matrix"] = labels
-            payload["entries"] = {k: v.to_json_dict() for k, v in defs.items()}
+            payload["entries"] = defs
         print(_canonical(payload))
     elif matrix:
         labels, defs = matrix
@@ -132,7 +151,7 @@ def cmd_schur(args):
             f"l(nu) + l(mu) <= m violated for {c} on gl({args.m}|{args.n})")
     poly = composite_super_schur(c, args.m, args.n)
     if args.format == "json":
-        print(_canonical(poly.to_json_dict()))
+        print(_canonical(poly))
     else:
         print(poly)
     return 0

@@ -96,16 +96,28 @@ def test_char_method_all_with_inapplicable_routes(capsys):
     assert payload["agree"] is True
 
 
+# every kind of JSON payload that holds polynomials
+JSON_COMMANDS = [
+    ("char", "--m", "2", "--n", "1", "--weight", "2,1;0", "--method", "jt"),
+    ("char", "--m", "3", "--n", "2", "--weight", "1,0,-1;-1,-2",
+     "--method", "all"),
+    ("char", "--m", "3", "--n", "2", "--weight", "3,2,-1;-1,-1",
+     "--method", "jt", "--emit-matrix"),
+    ("schur", "--m", "3", "--n", "2", "--composite", "2,1|1"),
+]
+
+
 def test_char_json_is_canonical(capsys):
-    args = ("char", "--m", "2", "--n", "1", "--weight", "2,1;0",
-            "--method", "jt", "--format", "json")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
-    payload = json.loads(out1)
-    assert payload["weight"] == "2,1;0"
-    assert out1 == json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")) + "\n"
+    for argv in JSON_COMMANDS:
+        args = argv + ("--format", "json")
+        _, out1, _ = run(capsys, *args)
+        _, out2, _ = run(capsys, *args)
+        assert out1 == out2
+        payload = json.loads(out1)
+        if argv[0] == "char":
+            assert payload["weight"] == argv[argv.index("--weight") + 1]
+        assert out1 == json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
 
 
 def test_closed_output_pipe_exits_one_without_a_traceback():

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superschur.cli import _canonical
@@ -27,6 +27,18 @@ def poly_strategy(draw, m=2, n=1, max_terms=5, max_exp=3):
         c = draw(st.integers(-9, 9))
         if c:
             terms[e] = terms.get(e, 0) + c
+    return LaurentPoly(m, n, terms)
+
+
+@st.composite
+def wide_poly_strategy(draw):
+    """Polynomials of any arity, with odd doubled exponents and
+    coefficients of either sign beyond 2**64."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0 if m else 1, 3))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(-7, 7)] * (m + n)),
+        st.integers(-2**70, 2**70).filter(bool), max_size=8))
     return LaurentPoly(m, n, terms)
 
 
@@ -235,8 +247,8 @@ def test_sum_of_coefficients_is_all_ones_evaluation():
 @settings(max_examples=30, deadline=None)
 @given(poly_strategy())
 def test_json_roundtrip(p):
-    # the CLI writes _canonical(to_json_dict()); the text keeps every term
-    data = json.loads(_canonical(p.to_json_dict()))
+    # the CLI writes _canonical(p); the text keeps every term
+    data = json.loads(_canonical(p))
     assert data["arity"] == [p.m, p.n]
     assert LaurentPoly(p.m, p.n, {tuple(t["exp2"]): int(t["coeff"])
                                   for t in data["terms"]}) == p
@@ -245,7 +257,38 @@ def test_json_roundtrip(p):
 def test_json_is_canonical():
     p = LaurentPoly(1, 1, {(2, 0): 1, (0, 2): 2})
     q = LaurentPoly(1, 1, {(0, 2): 2, (2, 0): 1})
-    assert _canonical(p.to_json_dict()) == _canonical(q.to_json_dict())
+    assert _canonical(p) == _canonical(q)
+
+
+def _by_order_key(p):
+    return sorted(p.terms.items(), key=lambda t: order_key(t[0]),
+                  reverse=True)
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_poly_strategy())
+@example(LaurentPoly.zero(2, 1))
+@example(LaurentPoly(3, 0, {(1, -3, 0): 2**64 + 1, (0, 0, 0): -1}))
+@example(LaurentPoly(0, 2, {(-1, 3): -2**65, (3, -1): 7, (2, 0): 1}))
+def test_canonical_writes_polynomials_as_per_term_dicts(p):
+    ref = {"arity": [p.m, p.n],
+           "terms": [{"coeff": str(c), "exp2": list(e)}
+                     for e, c in _by_order_key(p)]}
+    assert _canonical(p) == _dumps(ref)
+    assert _dumps(p.to_json_dict()) == _dumps(ref)
+    # a polynomial inside a dict is written the same way
+    assert (_canonical({"poly": p, "label": "n/a", "rows": [[1, "h_2"]]})
+            == _dumps({"poly": ref, "label": "n/a", "rows": [[1, "h_2"]]}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_poly_strategy())
+def test_sorted_terms_follows_order_key(p):
+    assert p.sorted_terms() == _by_order_key(p)
 
 
 def test_str_rendering():
