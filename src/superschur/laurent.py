@@ -5,7 +5,9 @@ half-integers (they arise from square roots of monomials), so every
 exponent vector is stored doubled: the tuple entry 2*e, always an int.
 Coefficients are ints; zero coefficients are never stored, so equality
 is dict equality.  No route divides: `exact_divide` is the reference
-that the tests check quotients against.
+that the tests check quotients against.  Likewise `to_json_dict`, the
+per-term dict form of a polynomial, is the reference for the JSON that
+`cli._canonical` writes.
 
 Products work on exponent vectors packed into ints by `ExponentCodec`
 and summed by `add_products`, both here and in the determinant of
@@ -347,8 +349,9 @@ class LaurentPoly:
     def sorted_terms(self):
         """Terms sorted descending by the division term order.
 
-        Each total degree is sorted apart, on the bare exponent tuples:
-        that is about twice as fast as one sort keyed by `order_key`.
+        Each total degree is sorted apart, on the bare exponent tuples,
+        so that no key is built per term and the sort compares tuples
+        of ints.
         """
         terms = self.terms
         by_degree = {}
