@@ -2,7 +2,8 @@
 
 Subcommands:
   char    compute a character by one route or all of them
-  dim     evaluate the character at x = y = 1
+  dim     evaluate the character at x = y = 1 (jt takes the determinant
+          at that point, without expanding the character)
   schur   expand a composite supersymmetric S-function
   verify  run the identity suites and report failures
 

@@ -8,6 +8,8 @@ and multiplying the resulting character by the matching monomial.
 
 from __future__ import annotations
 
+from math import comb
+
 from .characters import (_check_cap, reduction_char, su_zhang_char,
                          typical_constant_delta_char)
 from .laurent import LaurentPoly
@@ -81,6 +83,25 @@ def character(w, method="jt", cap=None):
 
 
 def dimension(w, method="jt", cap=None):
-    """All-ones evaluation of the character: the module dimension."""
-    return character(w, method, cap).sum_of_coefficients()
+    """All-ones evaluation of the character: the module dimension.
+
+    For `jt` the determinant is taken at x = y = 1, without expanding
+    the character: evaluation is a ring homomorphism, h_r and hbar_r
+    both become the dimension sum_k C(m+k-1, k) C(n, r-k) of the r-th
+    symmetric power, and the sigma-shift monomial becomes 1.  The steps
+    and refusals are those of `general_char`.  Other routes sum the
+    coefficients of their character.
+    """
+    if method != "jt":
+        return character(w, method, cap).sum_of_coefficients()
+    _, sc = normalize_to_special(w)
+    m, n = w.m, w.n
+    _check_cap(m, n, cap)
+
+    def h1(r):
+        return LaurentPoly.constant(0, 0, sum(
+            comb(m + k - 1, k) * comb(n, r - k) for k in range(r + 1)))
+
+    mat = composite_block_matrix(*_jt_parts(sc), h1, h1)
+    return poly_det(mat, 0, 0).sum_of_coefficients()
 

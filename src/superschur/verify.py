@@ -17,7 +17,7 @@ from itertools import product
 from .characters import (_split_assemble, lemma_rho_identities,
                          lexical_raise_weight, su_zhang_char)
 from .combinatorics import CompositePartition, Partition
-from .jacobi_trudi import general_char
+from .jacobi_trudi import dimension, general_char
 from .laurent import LaurentPoly
 from .symfunc import composite_super_schur, isolate_last_y, schur
 from .weights import (Weight, atypical_roots, normalize_to_special, phi,
@@ -190,9 +190,13 @@ def suite_isolate_y(grid=None, seed=None):
 
 
 def suite_jt_vs_oracle(grid=None, seed=None):
-    """Determinant route against the alternating-sum route, exhaustively."""
+    """Determinant route against the alternating-sum route, exhaustively,
+    and the determinant at x = y = 1 against its expanded character."""
     for w in _constant_delta_weights(grid or GridSpec()):
-        yield f"m={w.m},n={w.n},w={w}", general_char(w) == su_zhang_char(w)
+        ch = general_char(w)
+        yield (f"m={w.m},n={w.n},w={w}",
+               ch == su_zhang_char(w)
+               and dimension(w) == ch.sum_of_coefficients())
 
 
 BRUTE_FORCE_SLACK = 3

@@ -210,6 +210,21 @@ def test_dim_trivial(capsys):
     assert out.strip() == "1"
 
 
+def test_dim_gl54(capsys):
+    code, out, _ = run(capsys, "dim", "--m", "5", "--n", "4",
+                       "--weight", "3,2,1,0,-2;-2,-2,-2,-2")
+    assert code == 0
+    assert out == "640569600\n"
+
+
+def test_dim_refuses_a_non_constant_delta_part(capsys):
+    code, out, err = run(capsys, "dim", "--m", "2", "--n", "2",
+                         "--weight", "1,0;0,-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: delta-part is not constant\n"
+
+
 # -- schur ---------------------------------------------------------------------------
 
 

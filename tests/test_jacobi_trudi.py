@@ -76,6 +76,36 @@ def test_golden_dimension():
     assert dimension(GOLDEN, "typical") == 1536
 
 
+@pytest.mark.parametrize("w", [
+    Weight(4, 3, (4, 2, 0, -3), (-1, -1, -1)),   # a ladder weight
+    # a twisted grid class: twice sigma from a typical special weight
+    Weight(4, 3, (7, 6, 5, 5), (-2, -2, -2)),
+], ids=str)
+def test_dimension_is_the_determinant_at_one(w):
+    # jt takes the determinant at x = y = 1; the expansion must agree
+    assert dimension(w) == character(w).sum_of_coefficients()
+
+
+def test_dimension_without_expanding_gl54():
+    # the coefficients of the expanded character sum to the same value
+    w = Weight(5, 4, (3, 2, 1, 0, -2), (-2, -2, -2, -2))
+    assert dimension(w) == 640569600
+
+
+@pytest.mark.parametrize("w,cap", [
+    (Weight(2, 2, (1, 0), (0, -1)), None),   # delta-part not constant
+    (GOLDEN, 5),                             # Weyl group size 12 > 5
+    (Weight(2, 2, (1, 0), (0, -1)), 1),      # both: the weight is first
+], ids=["non-constant-delta", "cap", "both"])
+def test_dimension_refuses_as_character_does(w, cap):
+    with pytest.raises(Exception) as expected:
+        character(w, cap=cap)
+    with pytest.raises(expected.type) as got:
+        dimension(w, cap=cap)
+    assert got.type is expected.type
+    assert str(got.value) == str(expected.value)
+
+
 # -- small hand-checked determinants ------------------------------------------
 
 

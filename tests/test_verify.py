@@ -45,6 +45,16 @@ def test_every_suite_is_a_generator_of_cases():
             if not inspect.isgeneratorfunction(suite)] == []
 
 
+def test_jt_vs_oracle_checks_the_dimension(monkeypatch):
+    # the suite also compares the determinant at x = y = 1 with the
+    # expanded character, so a wrong dimension fails it
+    from superschur import verify
+    monkeypatch.setattr(verify, "dimension", lambda w: -1)
+    (report,) = run_suite("jt-vs-oracle", SMALL, seed=3)
+    assert report["cases"] > 0
+    assert len(report["failures"]) == report["cases"]
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("nope")
