@@ -8,6 +8,13 @@ monomial class, and each class is expanded through the Weyl denominator
 by the bialternant identity: the quotient of a class alternant by the
 half Vandermonde is a monomial times a Schur polynomial, which is built
 by the branching rule, without division.
+
+Those quotients are symmetric, so they are kept at their orbit
+representatives only: the exponent vectors sorted descending within the
+x block and within the y block.  The product of a representative of a
+symmetric x factor and one of a symmetric y factor is the representative
+of their product, so the sums run over representatives, and each orbit
+is written out once, at the end, by `distinct_permutations`.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from itertools import product
 from math import factorial
 
 from .combinatorics import enumerate_cycle_types
-from .laurent import LaurentPoly, NonzeroRemainder, sort_desc_sign
+from .laurent import (LaurentPoly, NonzeroRemainder, distinct_permutations,
+                      order_key, sort_desc_sign)
 from .symfunc import x_vandermonde_polys
 from .weights import Weight, atypical_roots, decompose, rho0_doubled
 
@@ -116,15 +124,17 @@ _ALTERNANT_CACHE = {}
 def _alternant_quotient(vals):
     """Sum over S_k of sign(w) z^{w(vals)}, divided by the half Vandermonde.
 
-    vals is a strictly decreasing doubled exponent tuple; the result is
-    a dict of doubled exponent tuples (width k) to int coefficients, in
-    descending exponent order.  By the bialternant identity the quotient
-    is z^{base} (prod z)^{(k-1)/2} s_lam(z), with base = vals[-1] and
-    lam_i = (vals_i - base)/2 - (k-1-i).  s_lam is built by the
-    branching rule s_lam(z_1..z_k) = sum over mu interlacing lam of
-    s_mu(z_1..z_{k-1}) z_k^{|lam|-|mu|}, so nothing is divided.  An odd
-    gap in vals leaves an alternant that the half Vandermonde does not
-    divide, and raises NonzeroRemainder.
+    vals is a strictly decreasing doubled exponent tuple.  By the
+    bialternant identity the quotient is z^{base} (prod z)^{(k-1)/2}
+    s_lam(z), with base = vals[-1] and lam_i = (vals_i - base)/2 -
+    (k-1-i).  s_lam is built by the branching rule s_lam(z_1..z_k) = sum
+    over mu interlacing lam of s_mu(z_1..z_{k-1}) z_k^{|lam|-|mu|}, so
+    nothing is divided.  The quotient is symmetric, so the result holds
+    one term per S_k orbit: a dict of weakly decreasing doubled exponent
+    tuples (width k) to int coefficients, in descending exponent order.
+    `distinct_permutations` gives the rest of each orbit, which has the
+    same coefficient.  An odd gap in vals leaves an alternant that the
+    half Vandermonde does not divide, and raises NonzeroRemainder.
     """
     k = len(vals)
     if k == 0:
@@ -149,9 +159,14 @@ def _alternant_quotient(vals):
 
 
 def _schur(parts, offset, memo=None):
-    """s_parts in len(parts) variables by the branching rule, as a dict of
-    doubled exponent tuples (2a + offset for the exponent a) to Kostka
-    numbers.
+    """s_parts in len(parts) variables by the branching rule, at its
+    weakly decreasing exponents only, as a dict of doubled exponent
+    tuples (2a + offset for the exponent a) to Kostka numbers.
+
+    A weakly decreasing exponent's last entry is its least, and its head
+    is weakly decreasing too, so a key e + (d,) is kept only when
+    e[-1] >= d, and each call needs only the weakly decreasing terms of
+    the calls below it.
 
     memo, shared by the recursive calls, keeps the polynomial of every
     partition met below the top call's children.  Each child of the top
@@ -171,19 +186,25 @@ def _schur(parts, offset, memo=None):
             sub = _schur(mu, offset, memo)
             if not top:
                 memo[mu] = sub
-        last = (2 * (size - sum(mu)) + offset,)
+        d = 2 * (size - sum(mu)) + offset
+        last = (d,)
         for e, c in sub.items():
-            key = e + last
-            poly[key] = poly.get(key, 0) + c
+            if e[-1] >= d:
+                key = e + last
+                poly[key] = poly.get(key, 0) + c
     return poly
 
 
 def _expand_alternating(acc, m, n):
     """Expand canonicalized monomial classes through both Weyl alternants.
 
-    acc maps block-sorted doubled exponent vectors to integer weights;
-    the return value maps plain exponent vectors to the coefficients of
-    sum_classes weight * (A_x/V_x)(A_y/V_y).
+    acc maps block-sorted doubled exponent vectors to integer weights.
+    The sum over classes of weight * (A_x/V_x)(A_y/V_y) is S_m x S_n-
+    invariant, and the return value holds it at its orbit
+    representatives: it maps exponent vectors sorted descending within
+    each block to their coefficients.  Both quotients are kept at their
+    representatives, and a representative of the product is a pair of
+    them.
     """
     groups = {}
     for e, cval in acc.items():
@@ -287,15 +308,22 @@ def su_zhang_char(w, cap=None):
                 else:
                     del acc[key]
     expanded = _expand_alternating(acc, m, n)
-    final = {}
-    for e, cval in expanded.items():
-        q, rem = divmod(cval, rfact)
+    # each orbit is written whole, greatest representative first, so the
+    # terms come nearly in the order that serialization sorts them into
+    terms = {}
+    for e in sorted(expanded, key=order_key, reverse=True):
+        q, rem = divmod(expanded[e], rfact)
         if rem:
             raise NonzeroRemainder(f"non-integral coefficient at {e}")
         if any(d % 2 for d in e):
             raise ArithmeticError(f"half-integer exponent {e} in a character")
-        final[e] = q
-    return LaurentPoly(m, n, final)
+        ys = distinct_permutations(e[m:])
+        for xs in distinct_permutations(e[:m]):
+            for y in ys:
+                terms[xs + y] = q
+    out = LaurentPoly(m, n)
+    out.terms = terms
+    return out
 
 
 def typical_constant_delta_char(w, cap=None):
@@ -309,7 +337,9 @@ def typical_constant_delta_char(w, cap=None):
         raise ValueError(f"{w} is atypical")
     xvals = tuple(2 * w.lam[i] + (m - 1 - 2 * i) for i in range(m))
     mu_exp = tuple(2 * b for b in w.mu)
-    terms = {a + mu_exp: c for a, c in _alternant_quotient(xvals).items()}
+    terms = {xs + mu_exp: c
+             for a, c in _alternant_quotient(xvals).items()
+             for xs in distinct_permutations(a)}
     poly = LaurentPoly(m, n, terms)
     return poly * _odd_root_product(m, n, set())
 
@@ -380,9 +410,10 @@ def _split_assemble(m, n, p, power, left_base, right_base):
     the alternant of F divided by p!(m-p)!, which sums the x-alternants
     of F's block-sorted terms.  Each is expanded by _alternant_quotient,
     shifted by (prod x)^{-(m-1)/2} since V is the half Vandermonde times
-    (prod x)^{(m-1)/2}.  NonzeroRemainder is raised unless F is
-    antisymmetric in x' and in x'', as when a factor is not symmetric
-    in its x variables.
+    (prod x)^{(m-1)/2}.  The quotients are summed at their x orbit
+    representatives, and each x orbit of the sum is written out once, at
+    the end.  NonzeroRemainder is raised unless F is antisymmetric in x'
+    and in x'', as when a factor is not symmetric in its x variables.
     """
     head, tail = tuple(range(1, p + 1)), tuple(range(p + 1, m + 1))
     y_slots = tuple(range(1, n + 1))
@@ -424,7 +455,14 @@ def _split_assemble(m, n, p, power, left_base, right_base):
                 result[key] = v
             else:
                 del result[key]
-    return LaurentPoly(m, n, result)
+    terms = {}
+    for e, c in result.items():
+        ey = e[m:]
+        for xs in distinct_permutations(e[:m]):
+            terms[xs + ey] = c
+    out = LaurentPoly(m, n)
+    out.terms = terms
+    return out
 
 
 def reduction_char(sc, cap=None):

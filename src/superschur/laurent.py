@@ -17,6 +17,7 @@ and summed by `add_products`, both here and in the determinant of
 from __future__ import annotations
 
 import heapq
+from itertools import permutations
 
 
 class ArityMismatchError(ValueError):
@@ -418,3 +419,12 @@ def sort_desc_sign(vals):
             return 0, None
     return sign, vals
 
+
+def distinct_permutations(vals):
+    """The distinct permutations of vals, in descending lexicographic order.
+
+    Applied to a block of an exponent vector, this is the block's orbit
+    under its symmetric group, led by its descending sort, the orbit
+    representative that the character routes keep.
+    """
+    return sorted(set(permutations(vals)), reverse=True)

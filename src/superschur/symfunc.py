@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import (combinations, combinations_with_replacement,
-                       permutations, product)
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 from .combinatorics import CompositePartition, Partition
 from .laurent import (ExponentCodec, LaurentPoly, NonzeroRemainder,
-                      add_products, perm_sign)
+                      add_products, distinct_permutations, order_key,
+                      perm_sign)
 
 
 def x_vandermonde_polys(m, n, slots):
@@ -97,8 +97,10 @@ def poly_det(mat, m, n):
             = sum_b (orbit sum of M at b) * sum_{c' in O(c)} E_{c' - b}
 
     with b over the representatives of M.  Each orbit sum is a multiple
-    of the orbit size; the full orbits are rebuilt once, from the
-    determinant.
+    of the orbit size.  The full orbits are written once, from the
+    determinant, by `distinct_permutations`, greatest representative
+    first in the term order, so the terms come nearly in the order that
+    serialization sorts them into.
 
     Raises ValueError unless every entry has int coefficients and is
     S_m x S_n-invariant.
@@ -155,14 +157,20 @@ def poly_det(mat, m, n):
     row_sign = perm_sign(tuple(order))
     pmat = [[packed[id(entry)] for entry in mat[i]] for i in order]
     det = _minor(pmat, 0, tuple(range(size)), {}, fold, rep_of, orbit_size)
-    terms = {}
+    reps = {}
     for r, s in det.items():
-        c = s // orbit_size[r] * row_sign
         e = codec.unpack(r, size)
-        y_perms = set(permutations(e[m:]))
-        for ex in set(permutations(e[:m])):
-            for ey in y_perms:
-                terms[ex + ey] = c
+        # sort_blocks sorts ascending; a representative sorts descending
+        e = (tuple(sorted(e[:m], reverse=True))
+             + tuple(sorted(e[m:], reverse=True)))
+        reps[e] = s // orbit_size[r] * row_sign
+    terms = {}
+    for e in sorted(reps, key=order_key, reverse=True):
+        c = reps[e]
+        ys = distinct_permutations(e[m:])
+        for xs in distinct_permutations(e[:m]):
+            for y in ys:
+                terms[xs + y] = c
     out = LaurentPoly(m, n)
     out.terms = terms
     return out

@@ -11,6 +11,7 @@ gives 330.
 """
 
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,11 @@ from superschur.characters import (CapExceeded, _alternant_quotient,
                                    lexical_raise_weight, reduction_char,
                                    s_lambda_set, su_zhang_char,
                                    typical_constant_delta_char)
-from superschur.laurent import LaurentPoly, NonzeroRemainder, perm_sign
+from superschur.combinatorics import CompositePartition, Partition
+from superschur.jacobi_trudi import jt_matrix
+from superschur.laurent import (LaurentPoly, NonzeroRemainder,
+                                distinct_permutations, perm_sign)
+from superschur.symfunc import composite_super_schur, poly_det
 from superschur.weights import Weight, atypical_roots, special_class
 
 from reference import (act_permutation, alternating_sum, c_related,
@@ -135,14 +140,27 @@ def test_kac_structure_of_typical_characters():
 # -- the alternant quotient --------------------------------------------------
 
 
+def expand_quotient(quotient):
+    """The full quotient, from the one term per orbit that it keeps."""
+    k = len(next(iter(quotient)))
+    return LaurentPoly(k, 0, {e: c for a, c in quotient.items()
+                              for e in distinct_permutations(a)})
+
+
+@st.composite
+def alternant_exponents(draw, min_k=1):
+    """Strictly decreasing doubled exponents with even gaps, 1 to 4 of them."""
+    k = draw(st.integers(min_k, 4))
+    base = draw(st.integers(-7, 7))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=k - 1, max_size=k - 1))
+    return tuple(base + 2 * sum(gaps[i:]) for i in range(k))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.data())
-def test_alternant_quotient_times_half_vandermonde_is_the_alternant(k, data):
-    base = data.draw(st.integers(-7, 7))
-    gaps = data.draw(st.lists(st.integers(1, 3), min_size=k - 1,
-                              max_size=k - 1))
-    vals = tuple(base + 2 * sum(gaps[i:]) for i in range(k))
-    restored = LaurentPoly(k, 0, _alternant_quotient(vals))
+@given(alternant_exponents())
+def test_alternant_quotient_times_half_vandermonde_is_the_alternant(vals):
+    k = len(vals)
+    restored = expand_quotient(_alternant_quotient(vals))
     for i in range(k):
         for j in range(i + 1, k):
             e1 = [0] * k
@@ -153,6 +171,16 @@ def test_alternant_quotient_times_half_vandermonde_is_the_alternant(k, data):
     alternant = LaurentPoly(k, 0, {tuple(vals[i] for i in p): perm_sign(p)
                                    for p in permutations(range(k))})
     assert restored == alternant
+
+
+@settings(max_examples=60, deadline=None)
+@given(alternant_exponents(min_k=2))
+def test_alternant_quotient_keeps_one_term_per_orbit(vals):
+    # a weakly decreasing tuple is the one representative of its orbit;
+    # expanding the orbits afterwards would hide extra keys, since they
+    # would be overwritten with their equal coefficients
+    for e in _alternant_quotient(vals):
+        assert all(a >= b for a, b in zip(e, e[1:])), e
 
 
 def test_alternant_quotient_rejects_bad_exponents():
@@ -167,14 +195,49 @@ def test_alternant_quotient_rejects_bad_exponents():
 def test_alternant_quotient_known_value():
     # lam = (2,1,0), k = 3: s_21 = m_21 + 2 m_111, the adjoint of gl(3)
     q = _alternant_quotient((8, 4, 0))
-    assert len(q) == 7
-    assert sum(q.values()) == 8
-    assert q[(4, 4, 4)] == 2
+    assert q == {(6, 4, 2): 1, (4, 4, 4): 2}
+    full = expand_quotient(q)
+    assert len(full) == 7
+    assert full.sum_of_coefficients() == 8
+    assert full.terms[(4, 4, 4)] == 2
 
 
 def test_cap_guard():
     with pytest.raises(CapExceeded):
         su_zhang_char(Weight(3, 2, (1, 0, -1), (-1, -2)), cap=5)
+
+
+def assert_orbits_whole(p):
+    """Each S_m x S_n orbit of p's terms is present whole, with one
+    coefficient: grouped by block-sorted exponents, a group holds
+    m! n! / (product of multiplicity factorials) terms, all alike."""
+    m, n = p.m, p.n
+    groups = {}
+    for e, c in p.terms.items():
+        rep = tuple(sorted(e[:m])) + tuple(sorted(e[m:]))
+        groups.setdefault(rep, []).append(c)
+    for rep, coeffs in groups.items():
+        size = factorial(m) * factorial(n)
+        for block in (rep[:m], rep[m:]):
+            for v in set(block):
+                size //= factorial(block.count(v))
+        assert len(coeffs) == size, rep
+        assert len(set(coeffs)) == 1, rep
+
+
+@pytest.mark.parametrize("w", [Weight(4, 3, (4, 2, 0, -3), (-1, -1, -1)),
+                               Weight(3, 2, (1, 0, -1), (-1, -2))])
+def test_su_zhang_writes_whole_orbits(w):
+    assert_orbits_whole(su_zhang_char(w))
+
+
+def test_determinant_writes_whole_orbits():
+    # gl(3|2) 1,0,-1;-1,-2 has no constant delta-part, hence no block
+    # matrix, so poly_det is checked there on a composite S-function
+    w = Weight(4, 3, (4, 2, 0, -3), (-1, -1, -1))
+    assert_orbits_whole(poly_det(jt_matrix(special_class(w)), 4, 3))
+    c = CompositePartition(Partition((2, 1)), Partition((2,)))
+    assert_orbits_whole(composite_super_schur(c, 3, 2))
 
 
 # -- closeness and the permutation set ---------------------------------------

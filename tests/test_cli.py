@@ -193,6 +193,17 @@ def test_internal_failure_exits_one(capsys, monkeypatch):
     assert "error:" in err and "non-integral" in err
 
 
+def test_non_integral_coefficient_names_the_greatest_term(capsys):
+    # at r = 3 the alternating sum is not divisible by 3! here; the
+    # representatives are checked in descending term order, so the
+    # message names the greatest offending term
+    code, out, err = run(capsys, "char", "--m", "3", "--n", "3",
+                         "--weight", "1,0,-1;1,0,-1", "--method", "suzhang")
+    assert code == 1
+    assert out == ""
+    assert err == "error: non-integral coefficient at (-2, -2, -2, 2, 2, 2)\n"
+
+
 # -- dim --------------------------------------------------------------------------
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from superschur.characters import _alternant_quotient, _split_assemble
 from superschur.combinatorics import CompositePartition, Partition
 from superschur.laurent import (ArityMismatchError, LaurentPoly,
-                                NonzeroRemainder, perm_sign)
+                                NonzeroRemainder, distinct_permutations,
+                                perm_sign)
 from superschur.symfunc import (_dual_super_h, _e_y, _h_x, _super_h,
                                 composite_block_matrix, composite_super_schur,
                                 isolate_last_y, poly_det, schur)
@@ -193,7 +194,8 @@ def test_schur_det_equals_bialternant(parts):
     lam = Partition(tuple(sorted(parts, reverse=True)))
     vals = tuple(2 * (p + 2 - i) for i, p in enumerate(lam.padded(3)))
     quotient = {tuple(v - 2 for v in e): c
-                for e, c in _alternant_quotient(vals).items()}
+                for a, c in _alternant_quotient(vals).items()
+                for e in distinct_permutations(a)}
     assert schur(lam, 3, 0) == LaurentPoly(3, 0, quotient)
 
 
