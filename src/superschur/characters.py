@@ -14,7 +14,9 @@ representatives only: the exponent vectors sorted descending within the
 x block and within the y block.  The product of a representative of a
 symmetric x factor and one of a symmetric y factor is the representative
 of their product, so the sums run over representatives, and each orbit
-is written out once, at the end, by `distinct_permutations`.
+is written out once, at the end, by `LaurentPoly.from_orbits`, which
+keeps the representatives for the JSON writer.  The split sum, whose
+orbits are in x only, writes them with `distinct_permutations`.
 """
 
 from __future__ import annotations
@@ -270,7 +272,12 @@ def _check_cap(m, n, cap):
 
 
 def su_zhang_char(w, cap=None):
-    """Exact irreducible character by the alternating-sum formula."""
+    """Exact irreducible character by the alternating-sum formula.
+
+    The sum is taken at orbit representatives, and each is checked
+    once, greatest first; the character is returned by
+    `LaurentPoly.from_orbits`, so it keeps them.
+    """
     w.require_dominant()
     m, n = w.m, w.n
     _check_cap(m, n, cap)
@@ -308,22 +315,16 @@ def su_zhang_char(w, cap=None):
                 else:
                     del acc[key]
     expanded = _expand_alternating(acc, m, n)
-    # each orbit is written whole, greatest representative first, so the
-    # terms come nearly in the order that serialization sorts them into
-    terms = {}
+    # checked greatest first, so that an error names the greatest term
+    reps = {}
     for e in sorted(expanded, key=order_key, reverse=True):
         q, rem = divmod(expanded[e], rfact)
         if rem:
             raise NonzeroRemainder(f"non-integral coefficient at {e}")
         if any(d % 2 for d in e):
             raise ArithmeticError(f"half-integer exponent {e} in a character")
-        ys = distinct_permutations(e[m:])
-        for xs in distinct_permutations(e[:m]):
-            for y in ys:
-                terms[xs + y] = q
-    out = LaurentPoly(m, n)
-    out.terms = terms
-    return out
+        reps[e] = q
+    return LaurentPoly.from_orbits(m, n, reps)
 
 
 def typical_constant_delta_char(w, cap=None):
@@ -337,10 +338,8 @@ def typical_constant_delta_char(w, cap=None):
         raise ValueError(f"{w} is atypical")
     xvals = tuple(2 * w.lam[i] + (m - 1 - 2 * i) for i in range(m))
     mu_exp = tuple(2 * b for b in w.mu)
-    terms = {xs + mu_exp: c
-             for a, c in _alternant_quotient(xvals).items()
-             for xs in distinct_permutations(a)}
-    poly = LaurentPoly(m, n, terms)
+    poly = LaurentPoly.from_orbits(
+        m, n, {a + mu_exp: c for a, c in _alternant_quotient(xvals).items()})
     return poly * _odd_root_product(m, n, set())
 
 

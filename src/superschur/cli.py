@@ -10,7 +10,10 @@ Subcommands:
 Exit codes: 0 success, 1 input error (the message names the violated
 hypothesis) or a reader that closed the output pipe, 2 route
 disagreement under `char --method all`.  JSON output is canonical:
-identical inputs give byte-identical bytes.
+identical inputs give byte-identical bytes.  A character that keeps its
+S_m x S_n orbit representatives, as the `jt`, `suzhang` and `schur`
+results do, is written from them, one row of terms per x block, in the
+same bytes as term by term.
 """
 
 from __future__ import annotations
@@ -42,21 +45,44 @@ def _canonical(obj):
 
     A LaurentPoly is written as {"arity":[m,n],"terms":[...]}, one
     {"coeff":"<int>","exp2":[...]} per term, in `sorted_terms` order:
-    descending by total degree, then by exponent vector.  A dict is
-    written key by key, so that the polynomials in it are written the
-    same way; any other value goes to json.dumps.  So identical inputs
-    give identical bytes.
+    descending by total degree, then by exponent vector.  A polynomial
+    that keeps its orbit representatives is written from them by
+    `_orbit_terms`, one row of terms per x block; any other is written
+    term by term.  A dict is written key by key, so that the polynomials
+    in it are written the same way; any other value goes to json.dumps.
+    So identical inputs give identical bytes.
     """
     if isinstance(obj, LaurentPoly):
-        term = ('{"coeff":"%d","exp2":['
-                + ",".join(["%d"] * (obj.m + obj.n)) + "]}")
-        return '{"arity":[%d,%d],"terms":[%s]}' % (
-            obj.m, obj.n,
-            ",".join([term % (c, *e) for e, c in obj.sorted_terms()]))
+        if obj.orbits is not None:
+            body = _orbit_terms(obj)
+        else:
+            term = ('{"coeff":"%d","exp2":['
+                    + ",".join(["%d"] * (obj.m + obj.n)) + "]}")
+            body = ",".join([term % (c, *e) for e, c in obj.sorted_terms()])
+        return '{"arity":[%d,%d],"terms":[%s]}' % (obj.m, obj.n, body)
     if isinstance(obj, dict):
         return "{%s}" % ",".join(json.dumps(k) + ":" + _canonical(v)
                                  for k, v in sorted(obj.items()))
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _orbit_terms(poly):
+    """The comma-joined term objects of poly, written from `orbit_rows`.
+
+    Each ylist is formatted once, as the pieces that go between copies
+    of an x block, so that a row is one join of its ylist's pieces
+    around its formatted x block.
+    """
+    m, n = poly.m, poly.n
+    ylists, rows = poly.orbit_rows()
+    # a comma parts the y entries from the x entries only if both exist
+    y_end = ("," if m and n else "") + ",".join(["%d"] * n) + "]}"
+    # "\0" marks where the x block goes; no formatted int contains it
+    pieces = [",".join(['{"coeff":"%d","exp2":[\0' % c + y_end % y
+                        for y, c in ylist]).split("\0")
+              for ylist in ylists]
+    x_fmt = ",".join(["%d"] * m)
+    return ",".join([(x_fmt % xs).join(pieces[k]) for xs, k in rows])
 
 
 def _parse_weight(args):

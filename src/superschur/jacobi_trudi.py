@@ -3,7 +3,8 @@
 Special weights with constant delta-part -k get an m x m block
 determinant in supersymmetric complete functions; arbitrary constant-
 delta dominant weights are handled by normalizing with the sigma-shift
-and multiplying the resulting character by the matching monomial.
+and multiplying the first row of that determinant by the matching
+monomial.
 """
 
 from __future__ import annotations
@@ -44,26 +45,25 @@ def jt_matrix_labels(sc):
                                   "hbar_{}".format)
 
 
-def jt_char(sc):
-    """Character of a special constant-delta weight as a determinant."""
-    return poly_det(jt_matrix(sc), sc.weight.m, sc.weight.n)
-
-
 def general_char(w, cap=None):
     """Character of any constant-delta dominant weight.
 
-    Normalizes by the sigma-shift (w + j*sigma is special), takes the
-    determinant character there, and divides by (prod x / prod y)^j.
+    Normalizes by the sigma-shift (w + j*sigma is special) and takes the
+    determinant there, with its first row multiplied by the monomial
+    (prod x / prod y)^{-j}: a determinant is linear in each row, so this
+    is the special weight's character times that monomial, and the
+    result keeps the determinant's orbit representatives.
     """
     j, sc = normalize_to_special(w)
     _check_cap(w.m, w.n, cap)
-    base = jt_char(sc)
+    m, n = w.m, w.n
+    mat = jt_matrix(sc)
     if j:
-        m, n = w.m, w.n
         shift = LaurentPoly.monomial(
             m, n, tuple([-2 * j] * m + [2 * j] * n))
-        base = shift * base
-    return base
+        # the empty matrix, at m = 0, has determinant 1
+        mat = [[shift * e for e in mat[0]]] + mat[1:] if mat else [[shift]]
+    return poly_det(mat, m, n)
 
 
 def character(w, method="jt", cap=None):

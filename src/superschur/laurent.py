@@ -114,11 +114,12 @@ def add_products(acc, outer, inner, sign=1):
 class LaurentPoly:
     """Immutable-by-convention Laurent polynomial with int coefficients."""
 
-    __slots__ = ("m", "n", "terms")
+    __slots__ = ("m", "n", "terms", "orbits")
 
     def __init__(self, m, n, terms=None):
         self.m = m
         self.n = n
+        self.orbits = None
         clean = {}
         if terms:
             width = m + n
@@ -147,6 +148,41 @@ class LaurentPoly:
     @classmethod
     def constant(cls, m, n, c):
         return cls(m, n, {(0,) * (m + n): c})
+
+    @classmethod
+    def from_orbits(cls, m, n, reps):
+        """The S_m x S_n-invariant polynomial with the given orbit
+        representatives.
+
+        reps maps each representative, an exponent vector whose x block
+        and y block are each weakly decreasing, to its nonzero int
+        coefficient, which every term of its orbit shares.  The orbits
+        are written out into `terms` once, greatest representative first
+        in the term order, and reps is kept as `orbits`.  Raises
+        ValueError on a key that is not block-sorted or on a zero
+        coefficient.
+        """
+        width = m + n
+        for e, c in reps.items():
+            if len(e) != width:
+                raise ArityMismatchError(
+                    f"exponent width {len(e)} != {width}")
+            if not c:
+                raise ValueError(f"zero coefficient at {e}")
+            if any(a < b for a, b in zip(e, e[1:m])) or any(
+                    a < b for a, b in zip(e[m:], e[m + 1:])):
+                raise ValueError(f"{e} is not sorted descending in each block")
+        terms = {}
+        for e in sorted(reps, key=order_key, reverse=True):
+            c = reps[e]
+            ys = distinct_permutations(e[m:])
+            for xs in distinct_permutations(e[:m]):
+                for y in ys:
+                    terms[xs + y] = c
+        out = cls(m, n)
+        out.terms = terms
+        out.orbits = dict(reps)
+        return out
 
     # -- basic structure ---------------------------------------------
 
@@ -363,6 +399,36 @@ class LaurentPoly:
             exps = sorted(by_degree[d], reverse=True)
             out += zip(exps, map(terms.__getitem__, exps))
         return out
+
+    def orbit_rows(self):
+        """The terms of `sorted_terms`, read from `orbits` as rows that
+        share an x block.
+
+        Returns (ylists, rows).  A ylist is a list of (y block, coeff),
+        descending by y block.  A row is (x block, index of a ylist) and
+        stands for the terms x block + y with coeff, for (y, coeff) in
+        its ylist, in that order.  The rows come in `sorted_terms` order:
+        by total degree, and within a degree by x block, so the rows of
+        one degree are the permutations of its x representatives, sorted
+        descending, and each shares its representative's ylist.
+        """
+        m = self.m
+        groups = {}
+        for e, c in self.orbits.items():
+            groups.setdefault((sum(e), e[:m]), []).append((e[m:], c))
+        ylists = []
+        by_degree = {}
+        for (d, a), ys in groups.items():
+            k = len(ylists)
+            ylists.append(sorted([(y, c) for b, c in ys
+                                  for y in distinct_permutations(b)],
+                                 reverse=True))
+            by_degree.setdefault(d, []).extend(
+                (xs, k) for xs in distinct_permutations(a))
+        rows = []
+        for d in sorted(by_degree, reverse=True):
+            rows += sorted(by_degree[d], reverse=True)
+        return ylists, rows
 
     def to_json_dict(self):
         return {

@@ -15,8 +15,7 @@ from math import factorial
 
 from .combinatorics import CompositePartition, Partition
 from .laurent import (ExponentCodec, LaurentPoly, NonzeroRemainder,
-                      add_products, distinct_permutations, order_key,
-                      perm_sign)
+                      add_products, perm_sign)
 
 
 def x_vandermonde_polys(m, n, slots):
@@ -97,10 +96,10 @@ def poly_det(mat, m, n):
             = sum_b (orbit sum of M at b) * sum_{c' in O(c)} E_{c' - b}
 
     with b over the representatives of M.  Each orbit sum is a multiple
-    of the orbit size.  The full orbits are written once, from the
-    determinant, by `distinct_permutations`, greatest representative
-    first in the term order, so the terms come nearly in the order that
-    serialization sorts them into.
+    of the orbit size.  The determinant is returned by
+    `LaurentPoly.from_orbits`, which writes each full orbit once and
+    keeps the representatives, from which `cli._canonical` writes the
+    JSON.
 
     Raises ValueError unless every entry has int coefficients and is
     S_m x S_n-invariant.
@@ -164,16 +163,7 @@ def poly_det(mat, m, n):
         e = (tuple(sorted(e[:m], reverse=True))
              + tuple(sorted(e[m:], reverse=True)))
         reps[e] = s // orbit_size[r] * row_sign
-    terms = {}
-    for e in sorted(reps, key=order_key, reverse=True):
-        c = reps[e]
-        ys = distinct_permutations(e[m:])
-        for xs in distinct_permutations(e[:m]):
-            for y in ys:
-                terms[xs + y] = c
-    out = LaurentPoly(m, n)
-    out.terms = terms
-    return out
+    return LaurentPoly.from_orbits(m, n, reps)
 
 
 def _minor(pmat, row, cols, memo, fold, rep_of, orbit_size):

@@ -24,7 +24,7 @@ from superschur.characters import (CapExceeded, _alternant_quotient,
                                    s_lambda_set, su_zhang_char,
                                    typical_constant_delta_char)
 from superschur.combinatorics import CompositePartition, Partition
-from superschur.jacobi_trudi import jt_matrix
+from superschur.jacobi_trudi import general_char, jt_matrix
 from superschur.laurent import (LaurentPoly, NonzeroRemainder,
                                 distinct_permutations, perm_sign)
 from superschur.symfunc import composite_super_schur, poly_det
@@ -238,6 +238,25 @@ def test_determinant_writes_whole_orbits():
     assert_orbits_whole(poly_det(jt_matrix(special_class(w)), 4, 3))
     c = CompositePartition(Partition((2, 1)), Partition((2,)))
     assert_orbits_whole(composite_super_schur(c, 3, 2))
+
+
+ORBIT_ROUTES = {
+    # the golden weight twisted by sigma: the shift goes on a matrix row
+    "jt-twisted": lambda: general_char(Weight(3, 2, (4, 3, 0), (-2, -2))),
+    # m = 0: the matrix is empty, and the shift is the whole determinant
+    "jt-m0": lambda: general_char(Weight(0, 2, (), (1, 1))),
+    "suzhang": lambda: su_zhang_char(Weight(3, 2, (1, 0, -1), (-1, -2))),
+    "schur": lambda: composite_super_schur(
+        CompositePartition(Partition((2, 1)), Partition((2,))), 3, 2),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ORBIT_ROUTES))
+def test_routes_keep_their_orbit_representatives(route):
+    # the JSON writer reads the representatives instead of the terms
+    p = ORBIT_ROUTES[route]()
+    assert p.orbits is not None
+    assert LaurentPoly.from_orbits(p.m, p.n, p.orbits) == p
 
 
 # -- closeness and the permutation set ---------------------------------------

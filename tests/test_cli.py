@@ -120,6 +120,17 @@ def test_char_json_is_canonical(capsys):
                                   separators=(",", ":")) + "\n"
 
 
+def test_char_json_without_x_variables(capsys):
+    # with an empty x block, no comma goes before the y entries
+    code, out, err = run(capsys, "char", "--m", "0", "--n", "2",
+                         "--weight", ";1,0", "--method", "suzhang",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == ('{"character":{"arity":[0,2],"terms":['
+                   '{"coeff":"1","exp2":[2,0]},{"coeff":"1","exp2":[0,2]}]},'
+                   '"method":"suzhang","weight":";1,0"}\n')
+
+
 def test_closed_output_pipe_exits_one_without_a_traceback():
     # the reader of the CLI's output is gone before it writes a byte
     read_end, write_end = os.pipe()

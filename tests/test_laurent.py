@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -269,20 +270,79 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _per_term_json(p):
+    return {"arity": [p.m, p.n],
+            "terms": [{"coeff": str(c), "exp2": list(e)}
+                      for e, c in _by_order_key(p)]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(wide_poly_strategy())
 @example(LaurentPoly.zero(2, 1))
 @example(LaurentPoly(3, 0, {(1, -3, 0): 2**64 + 1, (0, 0, 0): -1}))
 @example(LaurentPoly(0, 2, {(-1, 3): -2**65, (3, -1): 7, (2, 0): 1}))
 def test_canonical_writes_polynomials_as_per_term_dicts(p):
-    ref = {"arity": [p.m, p.n],
-           "terms": [{"coeff": str(c), "exp2": list(e)}
-                     for e, c in _by_order_key(p)]}
+    ref = _per_term_json(p)
     assert _canonical(p) == _dumps(ref)
     assert _dumps(p.to_json_dict()) == _dumps(ref)
     # a polynomial inside a dict is written the same way
     assert (_canonical({"poly": p, "label": "n/a", "rows": [[1, "h_2"]]})
             == _dumps({"poly": ref, "label": "n/a", "rows": [[1, "h_2"]]}))
+
+
+@st.composite
+def orbit_reps_strategy(draw):
+    """(m, n, reps): orbit representatives of any arity, each block
+    sorted descending, with odd doubled exponents and coefficients of
+    either sign beyond 2**64."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3))
+    raw = draw(st.dictionaries(
+        st.tuples(*[st.integers(-5, 5)] * (m + n)),
+        st.integers(-2**70, 2**70).filter(bool), max_size=6))
+    return m, n, {tuple(sorted(e[:m], reverse=True))
+                  + tuple(sorted(e[m:], reverse=True)): c
+                  for e, c in raw.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(orbit_reps_strategy())
+@example((2, 1, {}))
+@example((3, 0, {(3, 1, -1): 2**64 + 1, (0, 0, 0): -1}))
+@example((0, 2, {(1, -3): -2**65, (2, 2): 7, (0, 0): 1}))
+@example((1, 0, {(4,): -3}))
+@example((0, 1, {(-1,): 2**70}))
+@example((2, 2, {(3, 3, 1, -1): -1, (5, -5, 0, 0): 2**65, (4, 0, 2, -2): 2}))
+def test_canonical_writes_orbits_as_per_term_dicts(case):
+    m, n, reps = case
+    p = LaurentPoly.from_orbits(m, n, reps)
+    # every orbit is written whole, with its representative's coefficient
+    assert p.terms == {xs + ys: c for e, c in reps.items()
+                       for xs in set(permutations(e[:m]))
+                       for ys in set(permutations(e[m:]))}
+    assert p.orbits == reps
+    text = _canonical(p)
+    assert text == _dumps(_per_term_json(p))
+    assert text == _canonical(LaurentPoly(m, n, p.terms))
+    assert (_canonical({"poly": p, "label": "n/a"})
+            == _dumps({"poly": _per_term_json(p), "label": "n/a"}))
+
+
+@pytest.mark.parametrize("m,n,reps", [
+    (2, 1, {(0, 2, 0): 1}),
+    (2, 2, {(2, 0, 0, 2): 1}),
+    (2, 1, {(2, 0, 0): 1, (0, 0, 0): 0}),
+], ids=["x-block-unsorted", "y-block-unsorted", "zero-coefficient"])
+def test_from_orbits_rejects_bad_representatives(m, n, reps):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_orbits(m, n, reps)
+
+
+def test_operations_drop_orbits():
+    p = LaurentPoly.from_orbits(2, 1, {(2, 0, 0): 1})
+    assert p.orbits == {(2, 0, 0): 1}
+    assert all(q.orbits is None
+               for q in (p + p, p * p, -p, 3 * p, p.invert_variables()))
 
 
 @settings(max_examples=60, deadline=None)
