@@ -13,10 +13,12 @@ Those quotients are symmetric, so they are kept at their orbit
 representatives only: the exponent vectors sorted descending within the
 x block and within the y block.  The product of a representative of a
 symmetric x factor and one of a symmetric y factor is the representative
-of their product, so the sums run over representatives, and each orbit
-is written out once, at the end, by `LaurentPoly.from_orbits`, which
-keeps the representatives for the JSON writer.  The split sum, whose
-orbits are in x only, writes them with `distinct_permutations`.
+of their product, and on exponent tuples it is their concatenation, so
+the sums run over representatives and accumulate through
+`laurent.add_products`, the one product loop.  Each orbit is written out
+once, at the end, by `LaurentPoly.from_orbits`, which keeps the
+representatives for the JSON writer.  The split sum, whose orbits are in
+x only, writes them with `distinct_permutations`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from itertools import product
 from math import factorial
 
 from .combinatorics import enumerate_cycle_types
-from .laurent import (LaurentPoly, NonzeroRemainder, distinct_permutations,
-                      order_key, sort_desc_sign)
+from .laurent import (LaurentPoly, NonzeroRemainder, add_products,
+                      distinct_permutations, order_key, sort_desc_sign)
 from .symfunc import x_vandermonde_polys
-from .weights import Weight, atypical_roots, decompose, rho0_doubled
+from .weights import (Weight, atypical_roots, decompose, has_constant_mu,
+                      rho0_doubled)
 
 DEFAULT_CAP = 10 ** 6
 
@@ -204,38 +207,22 @@ def _expand_alternating(acc, m, n):
     The sum over classes of weight * (A_x/V_x)(A_y/V_y) is S_m x S_n-
     invariant, and the return value holds it at its orbit
     representatives: it maps exponent vectors sorted descending within
-    each block to their coefficients.  Both quotients are kept at their
-    representatives, and a representative of the product is a pair of
-    them.
+    each block to their nonzero coefficients.  Both quotients are kept
+    at their representatives, and a representative of the product is
+    the concatenation of an x and a y representative.  Classes of weight
+    0 are skipped.
     """
     groups = {}
-    for e, cval in acc.items():
-        groups.setdefault(e[:m], {})
-        ymap = groups[e[:m]]
-        ymap[e[m:]] = ymap.get(e[m:], 0) + cval
+    for e, c in acc.items():
+        if c:
+            groups.setdefault(e[:m], {})[e[m:]] = c
     result = {}
     for ex, ymap in groups.items():
         ypoly = {}
-        for ey, cval in ymap.items():
-            if not cval:
-                continue
-            for b, cb in _alternant_quotient(ey).items():
-                v = ypoly.get(b, 0) + cval * cb
-                if v:
-                    ypoly[b] = v
-                else:
-                    del ypoly[b]
-        if not ypoly:
-            continue
-        for a, ca in _alternant_quotient(ex).items():
-            for b, cb in ypoly.items():
-                key = a + b
-                v = result.get(key, 0) + ca * cb
-                if v:
-                    result[key] = v
-                else:
-                    del result[key]
-    return result
+        for ey, c in ymap.items():
+            add_products(ypoly, {(): c}, _alternant_quotient(ey))
+        add_products(result, _alternant_quotient(ex), ypoly)
+    return {e: c for e, c in result.items() if c}
 
 
 _ODD_PRODUCT_CACHE = {}
@@ -309,11 +296,7 @@ def su_zhang_char(w, cap=None):
                 if sy == 0:
                     continue
                 key = tuple(xs) + tuple(ys)
-                val = acc.get(key, 0) + coeff * pc * sx * sy
-                if val:
-                    acc[key] = val
-                else:
-                    del acc[key]
+                acc[key] = acc.get(key, 0) + coeff * pc * sx * sy
     expanded = _expand_alternating(acc, m, n)
     # checked greatest first, so that an error names the greatest term
     reps = {}
@@ -332,7 +315,7 @@ def typical_constant_delta_char(w, cap=None):
     w.require_dominant()
     m, n = w.m, w.n
     _check_cap(m, n, cap)
-    if w.n and any(b != w.mu[0] for b in w.mu):
+    if not has_constant_mu(w):
         raise ValueError("delta-part is not constant")
     if atypical_roots(w):
         raise ValueError(f"{w} is atypical")
@@ -445,20 +428,14 @@ def _split_assemble(m, n, p, power, left_base, right_base):
             "split numerator is not antisymmetric in x' and x''")
     result = {}
     for (xs, ey), c in classes.items():
-        if not c:
-            continue
-        for a, ca in _alternant_quotient(xs).items():
-            key = a + ey
-            v = result.get(key, 0) + c * ca
-            if v:
-                result[key] = v
-            else:
-                del result[key]
+        if c:
+            add_products(result, _alternant_quotient(xs), {ey: c})
     terms = {}
     for e, c in result.items():
-        ey = e[m:]
-        for xs in distinct_permutations(e[:m]):
-            terms[xs + ey] = c
+        if c:
+            ey = e[m:]
+            for xs in distinct_permutations(e[:m]):
+                terms[xs + ey] = c
     out = LaurentPoly(m, n)
     out.terms = terms
     return out

@@ -169,13 +169,11 @@ def cmd_dim(args):
 
 def cmd_schur(args):
     c = CompositePartition.parse(args.composite)
+    where = f"{args.composite} on gl({args.m}|{args.n})"
     if not c.is_super_standard(args.m, args.n):
-        raise ValueError(
-            f"nu_{{m - l(mu) + 1}} <= n violated for {c} on "
-            f"gl({args.m}|{args.n})")
+        raise ValueError(f"nu_{{m - l(mu) + 1}} <= n violated for {where}")
     if not c.is_standard(args.m):
-        raise ValueError(
-            f"l(nu) + l(mu) <= m violated for {c} on gl({args.m}|{args.n})")
+        raise ValueError(f"l(nu) + l(mu) <= m violated for {where}")
     poly = composite_super_schur(c, args.m, args.n)
     if args.format == "json":
         print(_canonical(poly))

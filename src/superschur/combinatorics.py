@@ -71,8 +71,10 @@ class CompositePartition:
         return self.nu.length + self.mu.length <= m
 
     def is_super_standard(self, m, n):
-        """nu_{m-l(mu)+1} <= n, with nu_i read as 0 beyond l(nu)."""
-        return self.nu.part(m - self.mu.length + 1) <= n
+        """nu_{m-l(mu)+1} <= n, with nu_i read as 0 beyond l(nu); no
+        constraint when l(mu) > m, where `is_standard` fails."""
+        i = m - self.mu.length + 1
+        return i < 1 or self.nu.part(i) <= n
 
     @classmethod
     def parse(cls, text):

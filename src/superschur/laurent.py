@@ -89,19 +89,24 @@ class ExponentCodec:
         return tuple(out)
 
     def sort_blocks(self, k):
-        """Key of k's exponents sorted ascending within the x and the y
-        block; the bias of k, uniform over the fields, is kept."""
+        """Key of k's exponents sorted descending within the x and the y
+        block, the orbit representative; the bias of k, uniform over the
+        fields, is kept."""
         field = k.to_bytes(self.key_bytes, "big").__getitem__
-        return int.from_bytes(b"".join(sorted(map(field, self.x_fields))
-                                       + sorted(map(field, self.y_fields))),
-                              "big")
+        return int.from_bytes(
+            b"".join(sorted(map(field, self.x_fields), reverse=True)
+                     + sorted(map(field, self.y_fields), reverse=True)),
+            "big")
 
 
 def add_products(acc, outer, inner, sign=1):
     """Add sign * outer * inner into acc.
 
-    All three map packed keys of one codec to coefficients.  Sums that
-    cancel stay in acc as zeros, for the caller to drop.
+    All three map monomial keys to coefficients: packed keys of one
+    `ExponentCodec`, whose sum is the product, or exponent tuples, where
+    an outer key (an x block, say) concatenated with an inner key (a y
+    block) is the product.  Sums that cancel stay in acc as zeros, for
+    the caller to drop.
     """
     get = acc.get
     for ko, co in outer.items():

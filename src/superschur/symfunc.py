@@ -1,16 +1,18 @@
-"""Complete/elementary symmetric functions, their supersymmetric analogues,
+"""Complete symmetric functions and their supersymmetric analogues,
 Schur and composite S-function determinants, and last-y-variable
 isolation.
 
 All functions are exact LaurentPoly computations on explicit finite
-alphabets x_1..x_m, y_1..y_n.
+alphabets x_1..x_m, y_1..y_n.  The complete functions h_r(x) and
+h_r(x/y) are built by `LaurentPoly.from_orbits` from their S_m x S_n
+orbit representatives, and `poly_det` works at representatives too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 from .combinatorics import CompositePartition, Partition
@@ -35,42 +37,25 @@ def x_vandermonde_polys(m, n, slots):
 
 @lru_cache(maxsize=None)
 def _h_x(m, n, r):
-    """Complete symmetric function of degree r in the x-alphabet."""
-    if r < 0:
-        return LaurentPoly.zero(m, n)
-    terms = {}
-    for combo in combinations_with_replacement(range(m), r):
-        e = [0] * (m + n)
-        for i in combo:
-            e[i] += 2
-        terms[tuple(e)] = terms.get(tuple(e), 0) + 1
-    return LaurentPoly(m, n, terms)
-
-
-@lru_cache(maxsize=None)
-def _e_y(m, n, r):
-    """Elementary symmetric function of degree r in the y-alphabet."""
-    if r < 0 or r > n:
-        return LaurentPoly.zero(m, n)
-    terms = {}
-    for combo in combinations(range(n), r):
-        e = [0] * (m + n)
-        for j in combo:
-            e[m + j] = 2
-        terms[tuple(e)] = 1
-    return LaurentPoly(m, n, terms)
+    """Complete symmetric function h_r(x), from its orbit representatives:
+    the partitions of r into at most m parts."""
+    reps = {}
+    for parts in combinations_with_replacement(range(r, -1, -1), m):
+        if sum(parts) == r:
+            reps[tuple(2 * a for a in parts) + (0,) * n] = 1
+    return LaurentPoly.from_orbits(m, n, reps)
 
 
 @lru_cache(maxsize=None)
 def _super_h(m, n, r):
-    if r < 0:
-        return LaurentPoly.zero(m, n)
-    out = LaurentPoly.zero(m, n)
-    for k in range(r + 1):
-        if r - k > n:
-            continue
-        out = out + _h_x(m, n, k) * _e_y(m, n, r - k)
-    return out
+    """h_r(x/y) = sum_k h_k(x) e_{r-k}(y), from its orbit representatives:
+    a partition of k from `_h_x`, then r - k ones among the n y-slots."""
+    reps = {}
+    for k in range(max(r - n, 0), r + 1):
+        ys = (2,) * (r - k) + (0,) * (n - r + k)
+        for e in _h_x(m, n, k).orbits:
+            reps[e[:m] + ys] = 1
+    return LaurentPoly.from_orbits(m, n, reps)
 
 
 @lru_cache(maxsize=None)
@@ -86,17 +71,20 @@ def poly_det(mat, m, n):
     sum of d keys and carries a uniform d-fold bias.
 
     Every entry is invariant under permuting x_1..x_m and y_1..y_n, and
-    so is every minor.  A minor is therefore stored only at its
-    block-sorted exponents, one key per orbit, holding the sum of its
-    coefficients over that orbit.  Multiplying such a minor by a full
-    entry and folding each product key onto its orbit gives the orbit
-    sums of the next minor, since for invariant E and M
+    so is every minor.  A minor is therefore stored only at its orbit
+    representatives, the keys that `ExponentCodec.sort_blocks` returns
+    (exponents sorted descending within each block), one per orbit,
+    holding the sum of its coefficients over that orbit.  Multiplying
+    such a minor by a full entry and folding each product key onto its
+    orbit gives the orbit sums of the next minor, since for invariant E
+    and M
 
         sum_{c' in O(c)} coeff_{c'}(E M)
             = sum_b (orbit sum of M at b) * sum_{c' in O(c)} E_{c' - b}
 
     with b over the representatives of M.  Each orbit sum is a multiple
-    of the orbit size.  The determinant is returned by
+    of the orbit size.  Each key of the determinant unpacks to its
+    representative, and the determinant is returned by
     `LaurentPoly.from_orbits`, which writes each full orbit once and
     keeps the representatives, from which `cli._canonical` writes the
     JSON.
@@ -158,11 +146,7 @@ def poly_det(mat, m, n):
     det = _minor(pmat, 0, tuple(range(size)), {}, fold, rep_of, orbit_size)
     reps = {}
     for r, s in det.items():
-        e = codec.unpack(r, size)
-        # sort_blocks sorts ascending; a representative sorts descending
-        e = (tuple(sorted(e[:m], reverse=True))
-             + tuple(sorted(e[m:], reverse=True)))
-        reps[e] = s // orbit_size[r] * row_sign
+        reps[codec.unpack(r, size)] = s // orbit_size[r] * row_sign
     return LaurentPoly.from_orbits(m, n, reps)
 
 

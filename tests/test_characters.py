@@ -27,7 +27,7 @@ from superschur.combinatorics import CompositePartition, Partition
 from superschur.jacobi_trudi import general_char, jt_matrix
 from superschur.laurent import (LaurentPoly, NonzeroRemainder,
                                 distinct_permutations, perm_sign)
-from superschur.symfunc import composite_super_schur, poly_det
+from superschur.symfunc import _super_h, composite_super_schur, poly_det
 from superschur.weights import Weight, atypical_roots, special_class
 
 from reference import (act_permutation, alternating_sum, c_related,
@@ -226,7 +226,9 @@ def assert_orbits_whole(p):
 
 
 @pytest.mark.parametrize("w", [Weight(4, 3, (4, 2, 0, -3), (-1, -1, -1)),
-                               Weight(3, 2, (1, 0, -1), (-1, -2))])
+                               Weight(3, 2, (1, 0, -1), (-1, -2)),
+                               # two orbit sums of the expansion cancel
+                               Weight(3, 2, (2, 1, -1), (1, -1))])
 def test_su_zhang_writes_whole_orbits(w):
     assert_orbits_whole(su_zhang_char(w))
 
@@ -248,6 +250,8 @@ ORBIT_ROUTES = {
     "suzhang": lambda: su_zhang_char(Weight(3, 2, (1, 0, -1), (-1, -2))),
     "schur": lambda: composite_super_schur(
         CompositePartition(Partition((2, 1)), Partition((2,))), 3, 2),
+    # a matrix entry: h_4(x/y) sums h_k(x) e_{4-k}(y) over k = 2..4
+    "super_h": lambda: _super_h(3, 2, 4),
 }
 
 

@@ -1,5 +1,6 @@
 """CLI contract: flags, formats, exit codes, and canonical JSON."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -129,6 +130,26 @@ def test_char_json_without_x_variables(capsys):
     assert out == ('{"character":{"arity":[0,2],"terms":['
                    '{"coeff":"1","exp2":[2,0]},{"coeff":"1","exp2":[0,2]}]},'
                    '"method":"suzhang","weight":";1,0"}\n')
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    # every route: jt, suzhang, typical and reduction, 26,281 terms
+    pytest.param(
+        ("--m", "4", "--n", "3", "--weight", "4,0,0,-1;-3,-3,-3",
+         "--method", "all"),
+        "e7d959df08d0c0c8da7c38591d28172568bc275a041826c9620b32e483870336",
+        id="all-routes-gl43"),
+    # the character and its matrix of h_r and hbar_r entries
+    pytest.param(
+        ("--m", "3", "--n", "2", "--weight", "3,2,-1;-1,-1",
+         "--method", "jt", "--emit-matrix"),
+        "11877a1227261f5cd56981bf5262aa4684a2fb58201ce0f9a824e70e90011a62",
+        id="jt-matrix-gl32"),
+])
+def test_char_json_bytes_are_pinned(capsys, argv, sha256):
+    code, out, err = run(capsys, "char", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_closed_output_pipe_exits_one_without_a_traceback():
@@ -269,6 +290,17 @@ def test_schur_rejects_non_super_standard(capsys):
                        "--composite", "2,2,2|1")
     assert code == 1
     assert "<= n violated" in err
+
+
+@pytest.mark.parametrize("m, composite", [("0", "|1"), ("1", "|1,1")])
+def test_schur_names_the_length_bound_when_mu_is_longer_than_m(
+        capsys, m, composite):
+    # nu_{m - l(mu) + 1} has no index here; the message is not a traceback
+    code, out, err = run(capsys, "schur", "--m", m, "--n", "2",
+                         "--composite", composite, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == (f"error: l(nu) + l(mu) <= m violated for {composite} "
+                   f"on gl({m}|2)\n")
 
 
 # -- verify ---------------------------------------------------------------------------

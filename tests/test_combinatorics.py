@@ -77,6 +77,12 @@ def test_composite_standardness():
     # with m=3 and l(mu)=1 the check reads nu_3 = 2
     assert deep.is_super_standard(3, 2)
     assert not deep.is_super_standard(3, 1)
+    # l(mu) > m: no part nu_{m - l(mu) + 1}, so no constraint here, and
+    # is_standard names the violation
+    for text, m in (("|1", 0), ("|1,1", 1), ("2|1,1,1", 2)):
+        long_mu = CompositePartition.parse(text)
+        assert long_mu.is_super_standard(m, 0)
+        assert not long_mu.is_standard(m)
 
 
 def test_composite_parse_str_roundtrip():

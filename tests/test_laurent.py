@@ -110,7 +110,7 @@ def test_codec_fields_grow_by_whole_bytes():
 def test_sort_blocks_sorts_each_block_and_keeps_the_bias():
     codec = ExponentCodec(3, 2, 300, 2)
     k = codec.pack((4, -300, 2, 6, -6)) + codec.pack((0, 2, 0, 0, 0))
-    assert codec.unpack(codec.sort_blocks(k), 2) == (-298, 2, 4, -6, 6)
+    assert codec.unpack(codec.sort_blocks(k), 2) == (4, 2, -298, 6, -6)
 
 
 def test_add_products_accumulates_signed_products():
@@ -122,6 +122,16 @@ def test_add_products_accumulates_signed_products():
                  {pack((1,)): 1, pack((3,)): 2}, -1)
     assert {codec.unpack(k, 2): c for k, c in acc.items()} == {
         (2,): 0, (4,): -4, (0,): -1}
+
+
+def test_add_products_concatenates_tuple_keys():
+    # on gl(2|1), (x1 + x2)*y1 - (x1*y1 + x2*y1): an x block times a y
+    # block is their concatenation, and the sum cancels to zeros
+    acc = {(2, 0, 2): -1, (0, 2, 2): -1}
+    add_products(acc, {(2, 0): 1, (0, 2): 1}, {(2,): 1})
+    assert acc == {(2, 0, 2): 0, (0, 2, 2): 0}
+    add_products(acc, {(): 3}, {(2, 0, 2): 1}, -1)
+    assert acc == {(2, 0, 2): -3, (0, 2, 2): 0}
 
 
 # -- arithmetic against the evaluation homomorphism --------------------

@@ -13,7 +13,7 @@ from superschur.combinatorics import CompositePartition, Partition
 from superschur.laurent import (ArityMismatchError, LaurentPoly,
                                 NonzeroRemainder, distinct_permutations,
                                 perm_sign)
-from superschur.symfunc import (_dual_super_h, _e_y, _h_x, _super_h,
+from superschur.symfunc import (_dual_super_h, _h_x, _super_h,
                                 composite_block_matrix, composite_super_schur,
                                 isolate_last_y, poly_det, schur)
 from superschur.verify import split_classical_factors, split_super_factors
@@ -96,9 +96,10 @@ def test_h_classical_matches_enumeration():
 
 
 def test_e_classical_matches_enumeration():
+    # with no x variables, h_r(x/y) is e_r(y)
     for r in range(0, 5):
-        assert _e_y(2, 3, r) == brute_e(2, 3, r)
-    assert not _e_y(2, 3, 4)  # e_r(y) = 0 for r > n
+        assert _super_h(0, 3, r) == brute_e(0, 3, r)
+    assert not _super_h(0, 3, 4)  # e_r(y) = 0 for r > n
 
 
 def test_super_h_is_convolution():
