@@ -15,10 +15,11 @@ x block and within the y block.  The product of a representative of a
 symmetric x factor and one of a symmetric y factor is the representative
 of their product, and on exponent tuples it is their concatenation, so
 the sums run over representatives and accumulate through
-`laurent.add_products`, the one product loop.  Each orbit is written out
-once, at the end, by `LaurentPoly.from_orbits`, which keeps the
-representatives for the JSON writer.  The split sum, whose orbits are in
-x only, writes them with `distinct_permutations`.
+`laurent.add_products`, the one product loop.  The sum is returned by
+`LaurentPoly.from_orbits`, which keeps the representatives for the JSON
+writer and writes the full orbits only when its terms are read.  The
+split sum, whose orbits are in x only, writes them with
+`distinct_permutations`.
 """
 
 from __future__ import annotations

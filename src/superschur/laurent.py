@@ -4,10 +4,13 @@ A polynomial lives in variables x_1..x_m, y_1..y_n.  Exponents may be
 half-integers (they arise from square roots of monomials), so every
 exponent vector is stored doubled: the tuple entry 2*e, always an int.
 Coefficients are ints; zero coefficients are never stored, so equality
-is dict equality.  No route divides: `exact_divide` is the reference
-that the tests check quotients against.  Likewise `to_json_dict`, the
-per-term dict form of a polynomial, is the reference for the JSON that
-`cli._canonical` writes.
+is dict equality.  A polynomial built by `from_orbits` keeps its
+S_m x S_n orbit representatives as `orbits` and writes out its `terms`
+only on first read; its truth, its coefficient sum and its equality
+with another such polynomial are read from the orbits alone.  No route
+divides: `exact_divide` is the reference that the tests check quotients
+against.  Likewise `to_json_dict`, the per-term dict form of a
+polynomial, is the reference for the JSON that `cli._canonical` writes.
 
 Products work on exponent vectors packed into ints by `ExponentCodec`
 and summed by `add_products`, both here and in the determinant of
@@ -17,7 +20,9 @@ and summed by `add_products`, both here and in the determinant of
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from itertools import permutations
+from math import factorial
 
 
 class ArityMismatchError(ValueError):
@@ -36,6 +41,17 @@ def order_key(exp2):
     division algorithm.
     """
     return (sum(exp2), exp2)
+
+
+def orbit_size(e, m):
+    """Size of the S_m x S_n orbit of the exponent vector e, whose first
+    m entries are the x block: m! n! over the factorial of the
+    multiplicity of each value within each block."""
+    size = factorial(m) * factorial(len(e) - m)
+    for block in (e[:m], e[m:]):
+        for v in Counter(block).values():
+            size //= factorial(v)
+    return size
 
 
 def perm_sign(perm):
@@ -119,7 +135,7 @@ def add_products(acc, outer, inner, sign=1):
 class LaurentPoly:
     """Immutable-by-convention Laurent polynomial with int coefficients."""
 
-    __slots__ = ("m", "n", "terms", "orbits")
+    __slots__ = ("m", "n", "_terms", "orbits")
 
     def __init__(self, m, n, terms=None):
         self.m = m
@@ -134,7 +150,31 @@ class LaurentPoly:
                         f"exponent width {len(exp2)} != {width}")
                 if c:
                     clean[tuple(exp2)] = c
-        self.terms = clean
+        self._terms = clean
+
+    @property
+    def terms(self):
+        """Map of exponent tuple to nonzero coefficient.
+
+        A polynomial from `from_orbits` writes its orbits here on first
+        read, greatest representative first in the term order, and keeps
+        the result.
+        """
+        if self._terms is None:
+            m, orbits = self.m, self.orbits
+            terms = {}
+            for e in sorted(orbits, key=order_key, reverse=True):
+                c = orbits[e]
+                ys = distinct_permutations(e[m:])
+                for xs in distinct_permutations(e[:m]):
+                    for y in ys:
+                        terms[xs + y] = c
+            self._terms = terms
+        return self._terms
+
+    @terms.setter
+    def terms(self, terms):
+        self._terms = terms
 
     # -- constructors ------------------------------------------------
 
@@ -161,11 +201,10 @@ class LaurentPoly:
 
         reps maps each representative, an exponent vector whose x block
         and y block are each weakly decreasing, to its nonzero int
-        coefficient, which every term of its orbit shares.  The orbits
-        are written out into `terms` once, greatest representative first
-        in the term order, and reps is kept as `orbits`.  Raises
-        ValueError on a key that is not block-sorted or on a zero
-        coefficient.
+        coefficient, which every term of its orbit shares.  reps is kept
+        as `orbits`, and the orbits are written out into `terms` only
+        when something reads them.  Raises ValueError on a key that is
+        not block-sorted or on a zero coefficient.
         """
         width = m + n
         for e, c in reps.items():
@@ -177,21 +216,16 @@ class LaurentPoly:
             if any(a < b for a, b in zip(e, e[1:m])) or any(
                     a < b for a, b in zip(e[m:], e[m + 1:])):
                 raise ValueError(f"{e} is not sorted descending in each block")
-        terms = {}
-        for e in sorted(reps, key=order_key, reverse=True):
-            c = reps[e]
-            ys = distinct_permutations(e[m:])
-            for xs in distinct_permutations(e[:m]):
-                for y in ys:
-                    terms[xs + y] = c
         out = cls(m, n)
-        out.terms = terms
+        out._terms = None
         out.orbits = dict(reps)
         return out
 
     # -- basic structure ---------------------------------------------
 
     def __bool__(self):
+        if self.orbits is not None:
+            return bool(self.orbits)
         return bool(self.terms)
 
     def __len__(self):
@@ -200,7 +234,13 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return (self.m, self.n) == (other.m, other.n) and self.terms == other.terms
+        if (self.m, self.n) != (other.m, other.n):
+            return False
+        # exact: a block-sorted representative is unique per orbit, and
+        # from_orbits keeps no zero coefficient
+        if self.orbits is not None and other.orbits is not None:
+            return self.orbits == other.orbits
+        return self.terms == other.terms
 
     def _check_arity(self, other):
         if (self.m, self.n) != (other.m, other.n):
@@ -384,6 +424,9 @@ class LaurentPoly:
         return out
 
     def sum_of_coefficients(self):
+        if self.orbits is not None:
+            m = self.m
+            return sum(c * orbit_size(e, m) for e, c in self.orbits.items())
         return sum(self.terms.values())
 
     # -- serialization and display ----------------------------------------

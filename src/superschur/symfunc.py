@@ -13,11 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import factorial
 
 from .combinatorics import CompositePartition, Partition
 from .laurent import (ExponentCodec, LaurentPoly, NonzeroRemainder,
-                      add_products, perm_sign)
+                      add_products, orbit_size, perm_sign)
 
 
 def x_vandermonde_polys(m, n, slots):
@@ -85,9 +84,9 @@ def poly_det(mat, m, n):
     with b over the representatives of M.  Each orbit sum is a multiple
     of the orbit size.  Each key of the determinant unpacks to its
     representative, and the determinant is returned by
-    `LaurentPoly.from_orbits`, which writes each full orbit once and
-    keeps the representatives, from which `cli._canonical` writes the
-    JSON.
+    `LaurentPoly.from_orbits`, which keeps the representatives, from
+    which `cli._canonical` writes the JSON, and writes the full orbits
+    only when its terms are read.
 
     Raises ValueError unless every entry has int coefficients and is
     S_m x S_n-invariant.
@@ -100,22 +99,15 @@ def poly_det(mat, m, n):
                 default=0)
     codec = ExponentCodec(m, n, bound, size)
     pack, sort_blocks = codec.pack, codec.sort_blocks
-    m_fact, n_fact = factorial(m), factorial(n)
     rep_of = {}
-    orbit_size = {}
+    orbit_sizes = {}
 
     def fold(k):
-        """Block-sorted key of k's orbit; its size goes in orbit_size."""
+        """Block-sorted key of k's orbit; its size goes in orbit_sizes."""
         r = sort_blocks(k)
-        if r not in orbit_size:
+        if r not in orbit_sizes:
             # a uniform bias leaves equal exponents equal
-            e = codec.unpack(r)
-            size_r = m_fact * n_fact
-            for v in Counter(e[:m]).values():
-                size_r //= factorial(v)
-            for v in Counter(e[m:]).values():
-                size_r //= factorial(v)
-            orbit_size[r] = size_r
+            orbit_sizes[r] = orbit_size(codec.unpack(r), m)
         rep_of[k] = r
         return r
 
@@ -133,7 +125,7 @@ def poly_det(mat, m, n):
             # invariant: each orbit is present whole, with one coefficient
             seen = Counter(map(fold, full))
             if (any(full.get(rep_of[k]) != c for k, c in full.items())
-                    or any(seen[r] != orbit_size[r] for r in seen)):
+                    or any(seen[r] != orbit_sizes[r] for r in seen)):
                 raise ValueError("poly_det needs S_m x S_n-invariant entries")
             packed[id(entry)] = full
 
@@ -143,19 +135,19 @@ def poly_det(mat, m, n):
                    key=lambda i: sum(len(e.terms) for e in mat[i]))
     row_sign = perm_sign(tuple(order))
     pmat = [[packed[id(entry)] for entry in mat[i]] for i in order]
-    det = _minor(pmat, 0, tuple(range(size)), {}, fold, rep_of, orbit_size)
+    det = _minor(pmat, 0, tuple(range(size)), {}, fold, rep_of, orbit_sizes)
     reps = {}
     for r, s in det.items():
-        reps[codec.unpack(r, size)] = s // orbit_size[r] * row_sign
+        reps[codec.unpack(r, size)] = s // orbit_sizes[r] * row_sign
     return LaurentPoly.from_orbits(m, n, reps)
 
 
-def _minor(pmat, row, cols, memo, fold, rep_of, orbit_size):
+def _minor(pmat, row, cols, memo, fold, rep_of, orbit_sizes):
     """Orbit sums of the minor of pmat on rows row.. and columns cols.
 
     memo, keyed by column set, is shared by the recursive calls; fold
     maps a packed key to its orbit representative and records it in
-    rep_of, and orbit_size holds each representative's orbit size.
+    rep_of, and orbit_sizes holds each representative's orbit size.
     """
     if row == len(pmat):
         return {0: 1}
@@ -167,7 +159,7 @@ def _minor(pmat, row, cols, memo, fold, rep_of, orbit_size):
         entry = pmat[row][c]
         if entry:
             sub = _minor(pmat, row + 1, cols[:idx] + cols[idx + 1:], memo,
-                         fold, rep_of, orbit_size)
+                         fold, rep_of, orbit_sizes)
             add_products(acc, sub, entry, 1 if idx % 2 == 0 else -1)
     sums = {}
     for k, c in acc.items():
@@ -179,10 +171,10 @@ def _minor(pmat, row, cols, memo, fold, rep_of, orbit_size):
     out = {}
     for r, s in sums.items():
         if s:
-            if s % orbit_size[r]:
+            if s % orbit_sizes[r]:
                 raise NonzeroRemainder(
                     f"orbit sum {s} is not a multiple of the orbit "
-                    f"size {orbit_size[r]}")
+                    f"size {orbit_sizes[r]}")
             out[r] = s
     memo[cols] = out
     return out

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import superschur
-from superschur.cli import main
+from superschur.cli import _canonical, main
+from superschur.jacobi_trudi import character
+from superschur.weights import Weight
 
 
 def run(capsys, *argv):
@@ -119,6 +121,15 @@ def test_char_json_is_canonical(capsys):
             assert payload["weight"] == argv[argv.index("--weight") + 1]
         assert out1 == json.dumps(payload, sort_keys=True,
                                   separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("method", ["jt", "suzhang"])
+def test_json_of_an_orbit_character_writes_no_terms(method):
+    # the JSON is written from the orbit representatives, so the full
+    # terms of the character are never written out
+    poly = character(Weight.parse(3, 2, "3,2,-1;-1,-1"), method)
+    _canonical(poly)
+    assert poly._terms is None
 
 
 def test_char_json_without_x_variables(capsys):

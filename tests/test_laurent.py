@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from superschur.cli import _canonical
 from superschur.laurent import (ArityMismatchError, ExponentCodec,
                                 LaurentPoly, NonzeroRemainder, add_products,
-                                order_key, perm_sign)
+                                distinct_permutations, order_key,
+                                orbit_size, perm_sign)
 
 from reference import (act_permutation, alternating_sum, evaluate, var_x,
                        var_y)
@@ -346,6 +347,45 @@ def test_canonical_writes_orbits_as_per_term_dicts(case):
 def test_from_orbits_rejects_bad_representatives(m, n, reps):
     with pytest.raises(ValueError):
         LaurentPoly.from_orbits(m, n, reps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(orbit_reps_strategy())
+@example((0, 0, {}))
+@example((0, 0, {(): -7}))
+@example((2, 0, {(3, 3): 2, (1, -1): -1}))
+@example((0, 3, {(2, 2, 2): 1, (4, 0, 0): -3}))
+@example((3, 2, {(3, 1, 1, 5, 5): -2**65, (0, 0, 0, 0, 0): 4}))
+def test_orbit_polynomial_reads_sums_truth_and_equality_from_orbits(case):
+    m, n, reps = case
+    expanded = LaurentPoly(m, n, LaurentPoly.from_orbits(m, n, reps).terms)
+    p = LaurentPoly.from_orbits(m, n, reps)
+    q = LaurentPoly.from_orbits(m, n, dict(reversed(reps.items())))
+    for e in reps:
+        assert orbit_size(e, m) == (len(distinct_permutations(e[:m]))
+                                    * len(distinct_permutations(e[m:])))
+    assert p == q
+    assert p.sum_of_coefficients() == expanded.sum_of_coefficients()
+    assert bool(p) is bool(expanded)
+    # none of the above wrote the terms out
+    assert p._terms is None and q._terms is None
+    assert p == expanded and expanded == p
+
+
+def test_orbit_polynomials_differ_in_coefficient_arity_or_orbits():
+    # every key is block-sorted at arities (2|1), (3|0) and (1|2)
+    reps = {(4, 2, 0): 3, (2, 2, 0): -1}
+    p = LaurentPoly.from_orbits(2, 1, reps)
+    changed = LaurentPoly.from_orbits(2, 1, {**reps, (2, 2, 0): 1})
+    others = [changed, LaurentPoly(2, 1, changed.terms),
+              LaurentPoly.from_orbits(2, 1, {(4, 2, 0): 3}),
+              LaurentPoly.from_orbits(2, 1, {(4, 2, 0): 3, (4, 0, 0): -1}),
+              LaurentPoly.from_orbits(2, 1, {}),
+              LaurentPoly.from_orbits(3, 0, reps),
+              LaurentPoly.from_orbits(1, 2, reps),
+              LaurentPoly(3, 0, LaurentPoly.from_orbits(3, 0, reps).terms)]
+    for other in others:
+        assert p != other and other != p
 
 
 def test_operations_drop_orbits():
